@@ -98,10 +98,6 @@ def _morphism_as(doc, name, expected_twisted):
     return entry["morphism"]
 
 
-def _fmt_scalar(value) -> str:
-    return str(value)
-
-
 def run_command(command, args, doc, engine="groebner"):
     """Execute one command; returns (lines, report_dicts, ok)."""
     if command != "corpus" and len(args) == 1 and args[0] in doc.cases:
@@ -306,8 +302,8 @@ def _mono_str(ring, mono):
 
 def _report_dict(command, rep: LefschetzReport):
     return {
-        "case": rep.case, "command": command, "lhs": _fmt_scalar(rep.lhs),
-        "rhs": _fmt_scalar(rep.rhs), "equal": rep.equal, "engine": rep.engine,
+        "case": rep.case, "command": command, "lhs": str(rep.lhs),
+        "rhs": str(rep.rhs), "equal": rep.equal, "engine": rep.engine,
         "micros": rep.micros,
     }
 

@@ -11,7 +11,6 @@ and everything derived from them are reproducible bit for bit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .polyring import (
     Monomial,
@@ -28,15 +27,6 @@ from .scalars import Scalar
 
 class NotInModuleError(ValueError):
     """A lift was requested for an element outside the submodule."""
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    kind: str = "degrevlex"
-    module_extension: str = "position-over-term"
-
-
-DEFAULT_ORDER = MonomialOrder()
 
 
 def term_key(term):
@@ -139,14 +129,12 @@ def _coerce_vec(element, rank=None):
 class GroebnerBasis:
     """A reduced Groebner basis of a submodule of R^rank (R^1 = ideal case)."""
 
-    __slots__ = ("ring", "rank", "generators", "order", "reduced", "_leads_by_comp")
+    __slots__ = ("ring", "rank", "generators", "_leads_by_comp")
 
-    def __init__(self, ring, rank, generators, order=DEFAULT_ORDER):
+    def __init__(self, ring, rank, generators):
         self.ring = ring
         self.rank = rank
         self.generators = generators
-        self.order = order
-        self.reduced = True
         leads = {}
         for idx, g in enumerate(generators):
             comp, mono = g.lead()
@@ -236,10 +224,8 @@ def _full_reduce(vec: Vec, gens, with_quotients=False):
     return rem
 
 
-def buchberger(generators, order: MonomialOrder = DEFAULT_ORDER, rank=None) -> GroebnerBasis:
+def buchberger(generators, rank=None) -> GroebnerBasis:
     """Reduced Groebner basis; normal selection strategy (lowest lcm first)."""
-    if order != DEFAULT_ORDER:
-        raise ValueError("only the fixed degrevlex/position-over-term order is supported")
     items = [_coerce_vec(g, rank) for g in generators]
     items = [v for v in items if not v.is_zero()]
     if not items:
@@ -307,7 +293,7 @@ def buchberger(generators, order: MonomialOrder = DEFAULT_ORDER, rank=None) -> G
         reduced.append(_full_reduce(g, others).monic() if others else g)
     basis = reduced
     basis.sort(key=lambda g: term_key(g.lead()), reverse=True)
-    return GroebnerBasis(ring, rank, basis, order)
+    return GroebnerBasis(ring, rank, basis)
 
 
 def normal_form(element, gb: GroebnerBasis):

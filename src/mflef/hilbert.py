@@ -22,8 +22,13 @@ from .groebner import (
 from .lefschetz import LefschetzReport
 from .mfcore import stabilize_module, supertrace_at_origin
 from .milnor import NonIsolatedError
-from .polyring import Polynomial, partial_derivative
-from .scalars import Scalar
+from .polyring import (
+    Polynomial,
+    monomial_divides,
+    monomials_of_weighted_degree,
+    partial_derivative,
+)
+from .scalars import Scalar, poly_divmod
 
 
 class UniPoly:
@@ -98,20 +103,10 @@ class UniPoly:
         return total
 
     def divide_exact(self, other):
-        num = self.coeffs[:]
-        den = other.coeffs
-        if not den:
-            raise ZeroDivisionError
-        out = [Fraction(0)] * (len(num) - len(den) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            c = num[i + len(den) - 1] / den[-1]
-            out[i] = c
-            if c:
-                for j, d in enumerate(den):
-                    num[i + j] -= c * d
-        if any(num[: len(den) - 1]):
+        quotient, remainder = poly_divmod(self.coeffs, other.coeffs)
+        if any(remainder):
             raise ArithmeticError("division is not exact")
-        return UniPoly(out)
+        return UniPoly(quotient)
 
     def __str__(self):
         if not self.coeffs:
@@ -189,33 +184,13 @@ def hilbert_function(pres: GradedModulePresentation, degree: int) -> int:
             leads.setdefault(comp, []).append(mono)
     else:
         leads = {}
-    from .polyring import monomial_divides
-
     total = 0
     for comp in range(n_gens):
         want = degree - pres.gen_degrees[comp]
-        if want < 0:
-            continue
-        for mono in _monomials_of_total_degree(ring.nvars, want):
+        for mono in monomials_of_weighted_degree((1,) * ring.nvars, want):
             if not any(monomial_divides(lead, mono) for lead in leads.get(comp, ())):
                 total += 1
     return total
-
-
-def _monomials_of_total_degree(n, degree):
-    if n == 0:
-        return [()] if degree == 0 else []
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], degree, 0)
-    return out
 
 
 @dataclass

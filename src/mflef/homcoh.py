@@ -21,12 +21,8 @@ from . import linalg
 from .groebner import Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
 from .mfcore import MatrixFactorization, MFMorphism, _poly_mat_mul, _zeros
-from .polyring import Polynomial, WeightSystem, scale_substitute
-from .scalars import RootOfUnity, Scalar, as_scalar
-
-
-def _coerce_scales(t):
-    return [s.to_scalar() if isinstance(s, RootOfUnity) else as_scalar(s) for s in t]
+from .polyring import Polynomial, WeightSystem, monomials_of_weighted_degree, scale_substitute
+from .scalars import Scalar, as_scalar
 
 
 class HomComplex:
@@ -228,7 +224,7 @@ def twisted_endomorphism_image(t, alpha: MFMorphism, beta: MFMorphism, phi: MFMo
     fixed pair (beta, alpha); it only matters when the twisting morphisms are
     odd, where dropping it would make every supertrace vanish identically.
     """
-    scales = _coerce_scales(t)
+    scales = [as_scalar(s) for s in t]
     twisted = MFMorphism(
         alpha.target,
         beta.source,
@@ -283,25 +279,6 @@ def euler_characteristic(basis: CohomologyBasis) -> int:
 # -- graded Euler engine -------------------------------------------------------
 
 
-def _monomials_of_weighted_degree(ring, weights, value):
-    """All exponent tuples of exact weighted degree `value` (weights > 0)."""
-    n = ring.nvars
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        q = weights[pos]
-        limit = int(remaining / q) if remaining >= 0 else -1
-        for e in range(limit + 1):
-            rec(prefix + [e], remaining - q * e, pos + 1)
-
-    rec([], Fraction(value), 0)
-    return out
-
-
 def _operator_shift(mf: MatrixFactorization, weights):
     """Common weighted degree shift of the odd operator; validates homogeneity."""
     grading = mf.grading_list()
@@ -314,7 +291,7 @@ def _operator_shift(mf: MatrixFactorization, weights):
             entry = full[i][j]
             if entry.is_zero():
                 continue
-            s = entry.weighted_degree([Fraction(q) for q in weights]) + grading[i] - grading[j]
+            s = entry.weighted_degree(weights) + grading[i] - grading[j]
             if shift is None:
                 shift = s
             elif shift != s:
@@ -349,7 +326,15 @@ class GradedHomPiece:
 
 
 def default_window(w: Polynomial, a: MatrixFactorization, b: MatrixFactorization):
-    """[-B, B] with B = socle degree + grading spread + 1 (degree of w)."""
+    """[-B, B] with B = socle degree + grading spread + 1 (degree of w).
+
+    The window holds all of H(Hom(A, B)).  Every cochain (a, b, m) has
+    internal degree wdeg(m) + g_B(a) - g_A(b) >= -spread, because monomials
+    have nonnegative weight.  Graded Serre duality pairs H(Hom(A, B))_d
+    nondegenerately with H(Hom(B, A))_d' only for d + d' = sum(1/2 - q_i),
+    half the socle degree sum(1 - 2 q_i); as d' >= -spread too, cohomology
+    sits at d <= socle / 2 + spread < B.
+    """
     ws = WeightSystem.of(w)
     if ws is None:
         raise ValueError("potential is not quasi-homogeneous")
@@ -359,24 +344,58 @@ def default_window(w: Polynomial, a: MatrixFactorization, b: MatrixFactorization
     return socle + spread + 1
 
 
-def graded_euler_supertrace(a, b, t, alpha, beta, window=None):
+def _window_degrees(a, b, weights):
+    """The internal degrees in the default window that carry a cochain."""
+    bound = default_window(a.potential, a, b)
+    offsets = {g - h for g in b.grading_list() for h in a.grading_list()}
+    if not offsets:
+        return []
+    # weighted degrees of monomials, up to the largest one any offset needs
+    top = bound - min(offsets)
+    reachable = {Fraction(0)}
+    for q in weights:
+        reachable = {v + q * e for v in reachable for e in range(int((top - v) / q) + 1)}
+    return sorted({v + o for v in reachable for o in offsets if -bound <= v + o <= bound})
+
+
+def _strands(a, b, weights, s_deg):
+    """Each nonempty piece C^P_d of the window with the matrices of its strand.
+
+    Yields (P, piece, m_out, m_in) for the three-term strand
+    C^{1-P}_{d-s} -> C^P_d -> C^{1-P}_{d+s}, by increasing degree d.
+    """
+    ring = a.ring
+    ga, gb = a.grading_list(), b.grading_list()
+    pa, pb = a.parities(), b.parities()
+    for d in _window_degrees(a, b, weights):
+        for parity in (0, 1):
+            piece = _piece(a, b, weights, ga, gb, pa, pb, parity, d)
+            if not piece.elements:
+                continue
+            piece_in = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d - s_deg)
+            piece_out = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d + s_deg)
+            m_out = _d_matrix(a, b, piece, piece_out, parity, ring)
+            m_in = _d_matrix(a, b, piece_in, piece, 1 - parity, ring)
+            yield parity, piece, m_out, m_in
+
+
+def graded_euler_supertrace(a, b, t, alpha, beta):
     """Supertrace of the twisted endomorphism via per-degree linear algebra.
 
     For each internal degree d the three-term strand C^{1-P}_{d-s} -> C^P_d ->
     C^{1-P}_{d+s} is a finite scalar complex preserved by the twisted
     endomorphism; the trace on its middle cohomology is computed directly and
-    summed over the window (outside of which cohomology vanishes).
+    summed over the default window (outside of which cohomology vanishes).
     """
     w = a.potential
     ws = WeightSystem.of(w)
     if ws is None:
         raise ValueError("potential is not quasi-homogeneous")
-    weights = [Fraction(q) for q in ws.weights]
+    weights = ws.weights
     shift_a = _operator_shift(a, weights)
     shift_b = _operator_shift(b, weights)
     if shift_a != shift_b:
         raise ValueError("source and target gradings use different operator shifts")
-    s_deg = shift_a
     ga, gb = a.grading_list(), b.grading_list()
     twist_degree = _morphism_degree(alpha, weights, ga, ga) + _morphism_degree(
         beta, weights, gb, gb
@@ -387,99 +406,24 @@ def graded_euler_supertrace(a, b, t, alpha, beta, window=None):
         return Scalar.zero()
     if (alpha.parity + beta.parity) % 2:
         raise ValueError("parity-reversing twists have no supertrace")
-    if window is None:
-        window = default_window(w, a, b)
-    window = Fraction(window)
-
-    ring = a.ring
-    pa, pb = a.parities(), b.parities()
-    scales = _coerce_scales(t)
-
-    # candidate internal degrees inside [-window, window]
-    degrees = set()
-    for ai in range(b.total_rank):
-        for bj in range(a.total_rank):
-            offset = gb[ai] - ga[bj]
-            # monomial degrees are multiples of min weight; enumerate by scan
-            for mono in _monomials_up_to(ring, weights, window - offset + abs(s_deg)):
-                d = _wdeg(mono, weights) + offset
-                if -window <= d <= window:
-                    degrees.add(d)
+    scales = [as_scalar(s) for s in t]
     total = Scalar.zero()
-    for d in sorted(degrees):
-        for parity in (0, 1):
-            piece = _piece(a, b, weights, ga, gb, pa, pb, parity, d)
-            if not piece.elements:
-                continue
-            piece_in = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d - s_deg)
-            piece_out = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d + s_deg)
-            m_out = _d_matrix(a, b, piece, piece_out, parity, ring)
-            m_in = _d_matrix(a, b, piece_in, piece, 1 - parity, ring)
-            t_mat = _twist_matrix(a, b, piece, scales, alpha, beta, ring)
-            tr = _subquotient_trace(m_out, m_in, t_mat)
-            total = total + (tr if parity == 0 else -tr)
+    for parity, piece, m_out, m_in in _strands(a, b, weights, shift_a):
+        t_mat = _twist_matrix(a, b, piece, scales, alpha, beta, a.ring)
+        tr = _subquotient_trace(m_out, m_in, t_mat)
+        total = total + (tr if parity == 0 else -tr)
     return total
 
 
-def graded_cohomology_dimensions(a, b, window=None):
+def graded_cohomology_dimensions(a, b):
     """Brute-force degree-truncated oracle for the cohomology dimensions."""
-    w = a.potential
-    ws = WeightSystem.of(w)
-    weights = [Fraction(q) for q in ws.weights]
-    s_deg = _operator_shift(a, weights)
-    ga, gb = a.grading_list(), b.grading_list()
-    pa, pb = a.parities(), b.parities()
-    ring = a.ring
-    if window is None:
-        window = default_window(w, a, b)
-    degrees = set()
-    for ai in range(b.total_rank):
-        for bj in range(a.total_rank):
-            offset = gb[ai] - ga[bj]
-            for mono in _monomials_up_to(ring, weights, window - offset + abs(s_deg)):
-                d = _wdeg(mono, weights) + offset
-                if -window <= d <= window:
-                    degrees.add(d)
+    weights = WeightSystem.of(a.potential).weights
     dims = [0, 0]
-    for d in sorted(degrees):
-        for parity in (0, 1):
-            piece = _piece(a, b, weights, ga, gb, pa, pb, parity, d)
-            if not piece.elements:
-                continue
-            piece_in = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d - s_deg)
-            piece_out = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d + s_deg)
-            m_out = _d_matrix(a, b, piece, piece_out, parity, ring)
-            m_in = _d_matrix(a, b, piece_in, piece, 1 - parity, ring)
-            kernel = linalg.nullspace(m_out) if m_out else [
-                [Scalar.one() if i == j else Scalar.zero() for i in range(len(piece.elements))]
-                for j in range(len(piece.elements))
-            ]
-            image_rank = linalg.rank(m_in) if m_in and m_in[0] else 0
-            dims[parity] += len(kernel) - image_rank
+    for parity, piece, m_out, m_in in _strands(a, b, weights, _operator_shift(a, weights)):
+        kernel_dim = len(linalg.nullspace(m_out)) if m_out else len(piece.elements)
+        image_rank = linalg.rank(m_in) if m_in and m_in[0] else 0
+        dims[parity] += kernel_dim - image_rank
     return tuple(dims)
-
-
-def _wdeg(mono, weights):
-    return sum(q * e for q, e in zip(weights, mono))
-
-
-def _monomials_up_to(ring, weights, bound):
-    if bound < 0:
-        return []
-    out = []
-    n = ring.nvars
-
-    def rec(prefix, remaining, pos):
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        q = weights[pos]
-        limit = int(remaining / q)
-        for e in range(limit + 1):
-            rec(prefix + [e], remaining - q * e, pos + 1)
-
-    rec([], Fraction(bound), 0)
-    return out
 
 
 def _piece(a, b, weights, ga, gb, pa, pb, parity, degree) -> GradedHomPiece:
@@ -489,7 +433,7 @@ def _piece(a, b, weights, ga, gb, pa, pb, parity, degree) -> GradedHomPiece:
             if (pb[ai] + pa[bj]) % 2 != parity:
                 continue
             need = degree - (gb[ai] - ga[bj])
-            for mono in _monomials_of_weighted_degree(a.ring, weights, need):
+            for mono in monomials_of_weighted_degree(weights, need):
                 elements.append((ai, bj, mono))
     return GradedHomPiece(elements)
 
@@ -604,15 +548,8 @@ def _subquotient_trace(m_out, m_in, t_mat):
 
 
 def _column_space_basis(mat):
-    """A maximal independent set of columns of mat, deterministic selection."""
+    """The leftmost maximal independent set of columns of mat."""
     if not mat or not mat[0]:
         return []
-    nrows, ncols = len(mat), len(mat[0])
-    chosen = []
-    current_rank = 0
-    for j in range(ncols):
-        trial = [[mat[i][c] for c in chosen + [j]] for i in range(nrows)]
-        if linalg.rank(trial) > current_rank:
-            chosen.append(j)
-            current_rank += 1
-    return [[mat[i][j] for i in range(nrows)] for j in chosen]
+    pivots = linalg._echelon([row[:] for row in mat], len(mat[0]))
+    return [[row[j] for row in mat] for j in pivots]

@@ -22,6 +22,7 @@ from .homcoh import (
 from .milnor import (
     PAIRING_CONVENTION,
     TraceSpaceElement,
+    _coerce_symmetry,
     canonical_pairing,
     milnor_data,
     trace_space,
@@ -34,11 +35,11 @@ from .mfcore import (
     supertrace_at_origin,
 )
 from .polyring import partial_derivative, scale_substitute, set_variables_to_zero
-from .scalars import RootOfUnity, Scalar, one_minus_zeta_valuation
+from .scalars import Scalar, one_minus_zeta_valuation
 
 
 class EngineDisagreementError(AssertionError):
-    """The graded window engine kept disagreeing with the Groebner engine."""
+    """The graded engine disagreed with the Groebner engine."""
 
 
 @dataclass
@@ -75,20 +76,6 @@ class DivisibilityReport:
 
 def _now():
     return time.perf_counter_ns() // 1000
-
-
-def _coerce_symmetry(t):
-    out = []
-    for item in t:
-        if isinstance(item, RootOfUnity):
-            out.append(item)
-        elif item == 1:
-            out.append(RootOfUnity(1, 0))
-        elif item == -1:
-            out.append(RootOfUnity(2, 1))
-        else:
-            raise TypeError(f"symmetry entries must be roots of unity, got {item!r}")
-    return tuple(out)
 
 
 def _inverse_symmetry(t):
@@ -180,17 +167,12 @@ def lhs_hlf(a, b, t, alpha, beta, engine: str = "groebner") -> Scalar:
         return graded_euler_supertrace(a, b, t, alpha, beta)
     if engine == "both":
         reference = lhs_hlf(a, b, t, alpha, beta, engine="groebner")
-        from .homcoh import default_window
-
-        window = default_window(a.potential, a, b)
-        for _ in range(3):
-            value = graded_euler_supertrace(a, b, t, alpha, beta, window=window)
-            if value == reference:
-                return reference
-            window = window * 2  # window insufficiency: widen and retry
-        raise EngineDisagreementError(
-            f"graded engine disagrees with the Groebner engine: {value} != {reference}"
-        )
+        value = graded_euler_supertrace(a, b, t, alpha, beta)
+        if value != reference:
+            raise EngineDisagreementError(
+                f"graded engine disagrees with the Groebner engine: {value} != {reference}"
+            )
+        return reference
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -293,7 +275,10 @@ def trace_identity_check(a, t, alpha, engine="groebner", case="trace-identity") 
         raise ValueError("the trace identity needs t_i != 1 for every coordinate")
     if alpha.parity:
         raise ValueError("alpha must be even")
-    beta = alpha.inverse()
+    try:
+        beta = alpha.inverse()
+    except ArithmeticError as exc:
+        raise ValueError("alpha must be invertible at the origin") from exc
     start = _now()
     lhs = supertrace_at_origin(alpha) * supertrace_at_origin(beta)
     rhs = lhs_hlf(a, a, t, alpha, beta, engine=engine)

@@ -19,9 +19,10 @@ from .polyring import (
     Polynomial,
     difference_quotients,
     extend_ring,
+    monomials_of_weighted_degree,
     scale_substitute,
 )
-from .scalars import RootOfUnity, Scalar, as_scalar
+from .scalars import Scalar, as_scalar
 
 
 class MFValidationError(ValueError):
@@ -50,10 +51,6 @@ def _poly_mat_scale(a, c):
 
 def _zeros(rows, cols, ring):
     return [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-
-
-def _coerce_scales(t):
-    return [s.to_scalar() if isinstance(s, RootOfUnity) else as_scalar(s) for s in t]
 
 
 class MatrixFactorization:
@@ -411,8 +408,7 @@ def tensor_morphisms(m1: MFMorphism, m2: MFMorphism,
     def lift(p):
         return p if p.ring == ring else extend_ring(p, ring)
 
-    _, _, _, idx_src = _tensor_basis(m1.source, m2.source)
-    pairs_src, _, _, _ = _tensor_basis(m1.source, m2.source)
+    pairs_src, _, _, idx_src = _tensor_basis(m1.source, m2.source)
     _, _, _, idx_dst = _tensor_basis(m1.target, m2.target)
 
     def flat(mf, g):
@@ -460,7 +456,7 @@ def odd_rank11_generator(mf: MatrixFactorization) -> MFMorphism:
 
 def pullback(t, mf: MatrixFactorization) -> MatrixFactorization:
     """Entrywise substitution x_i -> t_i x_i; t must fix the potential."""
-    scales = _coerce_scales(t)
+    scales = [as_scalar(s) for s in t]
     if not (scale_substitute(mf.potential, scales) == mf.potential):
         raise ValueError("t is not a symmetry of the potential")
     d0 = [[scale_substitute(e, scales) for e in row] for row in mf.d0]
@@ -482,7 +478,7 @@ def stabilized_diagonal(w: Polynomial) -> MatrixFactorization:
 
 def equivariance_power_check(t, alpha: MFMorphism, p: int) -> bool:
     """True iff t^((p-1)*)(alpha) o ... o t^*(alpha) o alpha is the identity."""
-    scales = _coerce_scales(t)
+    scales = [as_scalar(s) for s in t]
     for s in scales:
         if not (s**p == 1):
             raise ValueError("symmetry entries must have order dividing p")
@@ -675,8 +671,8 @@ def _solve_homotopy(res, ring, ranks, offsets, residual, shift, w_deg):
     op_degree = w_deg * ((shift + 2) // 2)
 
     def entry_monos(source_step, j, target_step, i):
-        return _monomials_of_degree(
-            ring, degrees[source_step][j] + op_degree - degrees[target_step][i]
+        return monomials_of_weighted_degree(
+            (1,) * ring.nvars, degrees[source_step][j] + op_degree - degrees[target_step][i]
         )
 
     unknown_slots = []
@@ -751,24 +747,4 @@ def _solve_homotopy(res, ring, ranks, offsets, residual, shift, w_deg):
         if key not in out:
             out[key] = _zeros(ranks[k + shift + 1], ranks[k], ring)
         out[key][i][j] = out[key][i][j] + ring.monomial(m, c)
-    return out
-
-
-def _monomials_of_degree(ring, degree):
-    if degree != int(degree) or degree < 0:
-        return []
-    degree = int(degree)
-    n = ring.nvars
-    if n == 0:
-        return [()] if degree == 0 else []
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], degree, 0)
     return out

@@ -7,8 +7,10 @@ display and leading terms is degree-reverse-lexicographic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from .linalg import _echelon
 from .scalars import RootOfUnity, Scalar, as_scalar
 
 Monomial = tuple  # tuple[int, ...]
@@ -88,6 +90,37 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def degrevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def monomials_of_weighted_degree(weights, degree) -> list[Monomial]:
+    """All exponent tuples m with sum(q_i * m_i) == degree, lexicographically.
+
+    Weights are positive ints or Fractions.  They are scaled to integers by
+    their common denominator, and the last exponent is solved for, not
+    scanned.  An unreachable or negative degree gives [].
+    """
+    scale = math.lcm(*(q.denominator for q in weights))
+    steps = [q.numerator * (scale // q.denominator) for q in weights]
+    target, rest = divmod(degree.numerator * scale, degree.denominator)
+    if rest or target < 0:
+        return []
+    if not steps:
+        return [()] if target == 0 else []
+    last = len(steps) - 1
+    out = []
+
+    def rec(prefix, remaining, pos):
+        step = steps[pos]
+        if pos == last:
+            e, left = divmod(remaining, step)
+            if not left:
+                out.append(prefix + (e,))
+            return
+        for e in range(remaining // step + 1):
+            rec(prefix + (e,), remaining - step * e, pos + 1)
+
+    rec((), target, 0)
+    return out
 
 
 class Polynomial:
@@ -449,30 +482,17 @@ def find_weights(w: Polynomial):
     n = w.ring.nvars
     if n == 0 or w.is_zero():
         return None
-    rows = [[Fraction(e) for e in m] + [Fraction(1)] for m in sorted(w.terms, key=degrevlex_key)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [c - f * p for c, p in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][n]:
-            return None  # inconsistent: not quasi-homogeneous
+    rows = [
+        [Scalar.from_rational(e) for e in m] + [Scalar.one()]
+        for m in sorted(w.terms, key=degrevlex_key)
+    ]
+    pivots = _echelon(rows, n)
+    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+        return None  # inconsistent: not quasi-homogeneous
     weights = [Fraction(1, 2)] * n
-    for i, col in enumerate(pivots):
-        weights[col] = rows[i][n] - sum(
-            rows[i][j] * weights[j] for j in range(n) if j != col and rows[i][j]
-        )
+    for row, col in zip(rows, pivots):
+        coeffs = [c.to_rational() for c in row]
+        weights[col] = coeffs[n] - sum(coeffs[j] * weights[j] for j in range(n) if j != col)
     if any(q <= 0 for q in weights):
         return None
     return tuple(weights)

@@ -34,19 +34,33 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials (ascending coefficients), den monic.
+def poly_divmod(num, den):
+    """Quotient and remainder of univariate polynomials over Q.
+
+    Coefficients are ascending and exact (Fractions, or ints in `den`); both
+    results are trimmed lists of Fractions, the zero polynomial being [0].
+    """
     num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
+    while num and not num[-1]:
+        num.pop()
+    den = list(den)
+    while den and not den[-1]:
+        den.pop()
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(num) < len(den):
+        return [Fraction(0)], num or [Fraction(0)]
+    out = [Fraction(0)] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
+        c = num[i + len(den) - 1] / den[-1]
         out[i] = c
         if c:
             for j, d in enumerate(den):
                 num[i + j] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("division not exact")
-    return out
+    rem = num[: len(den) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return out, rem or [Fraction(0)]
 
 
 @lru_cache(maxsize=None)
@@ -54,12 +68,12 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, ascending, monic, integral."""
     if m == 1:
         return (-1, 1)
-    poly = [0] * m + [1]
-    poly[0] = -1  # x^m - 1
+    poly = [Fraction(0)] * m + [Fraction(1)]
+    poly[0] = Fraction(-1)  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly = _int_poly_div(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+            poly, _ = poly_divmod(poly, cyclotomic_polynomial(d))
+    return tuple(int(c) for c in poly)
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +273,7 @@ class Scalar:
         r0, r1 = phi_poly, list(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
+            q, r = poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
         lead = next(c for c in reversed(r0) if c)
@@ -371,28 +385,6 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    den = list(den)
-    while den and not den[-1]:
-        den.pop()
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    rem = num[: len(den) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    return out, rem or [Fraction(0)]
-
-
 def _frac_poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -411,36 +403,17 @@ def _frac_poly_sub(a, b):
 
 
 def _try_descend(a: Scalar, d: int) -> Scalar | None:
-    # Solve for coordinates of `a` in the power basis of zeta_d inside Q(zeta_m).
+    # Coordinates of `a` in the power basis of zeta_d inside Q(zeta_m), if any.
+    from .linalg import solve  # linalg is built on this module
+
     m = a.order
     phi_d, phi_m = euler_phi(d), euler_phi(m)
-    basis = []
-    for i in range(phi_d):
-        basis.append(Scalar.zeta(d, i).promote(m).coeffs)
-    # Gaussian elimination on the (phi_m x phi_d) system basis^T x = a.coeffs.
-    rows = [[basis[j][i] for j in range(phi_d)] + [a.coeffs[i]] for i in range(phi_m)]
-    pivots = []
-    r = 0
-    for col in range(phi_d):
-        pivot = next((i for i in range(r, phi_m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(phi_m):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [c - factor * p for c, p in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, phi_m):
-        if rows[i][phi_d]:
-            return None  # inconsistent: not in the subfield
-    coords = [Fraction(0)] * phi_d
-    for i, col in enumerate(pivots):
-        coords[col] = rows[i][phi_d]
-    return Scalar(d, tuple(coords))
+    basis = [Scalar.zeta(d, i).promote(m).coeffs for i in range(phi_d)]
+    rows = [[Scalar(1, (basis[j][i],)) for j in range(phi_d)] for i in range(phi_m)]
+    coords = solve(rows, [Scalar(1, (c,)) for c in a.coeffs])
+    if coords is None:
+        return None  # inconsistent: not in the subfield
+    return Scalar(d, tuple(c.to_rational() for c in coords))
 
 
 _ZERO = Scalar(1, (Fraction(0),))

@@ -176,3 +176,55 @@ def test_graded_engine_without_gradings_is_input_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "grading" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["groebner", "graded", "both"])
+@pytest.mark.parametrize("name, status", [("passing", 0), ("a2", 0), ("violation", 1)])
+def test_corpus_text_matches_recorded_output(name, status, engine, capsys):
+    # The .out files hold the corpus text of each fixture; every engine prints
+    # the same bytes, and a refactor that keeps behaviour must keep them.
+    code = _run(["corpus", "-i", str(FIXTURES / f"{name}.mflef"), "--engine", engine])
+    assert code == status
+    assert capsys.readouterr().out == (FIXTURES / f"{name}.out").read_text()
+
+
+SINGULAR_ALPHA = """
+[potential]
+w = x^3
+
+[symmetry]
+name = t
+potential = w
+roots = zeta(3)^[1]
+
+[mf]
+name = A
+potential = w
+d0 = { x }
+d1 = { x^2 }
+
+[morphism]
+name = alpha
+source = A
+target = A
+twist = t
+twisted = target
+parity = even
+mat = {
+0 ; 0
+0 ; 0
+}
+"""
+
+
+def test_singular_alpha_is_input_error(tmp_path):
+    doc = tmp_path / "singular.mflef"
+    doc.write_text(SINGULAR_ALPHA)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflef.cli", "trace-identity", "A", "t", "alpha",
+         "-i", str(doc)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: alpha must be invertible at the origin"]
+    assert "Traceback" not in proc.stderr

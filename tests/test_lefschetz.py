@@ -360,6 +360,26 @@ def test_engine_both_cross_checks():
     assert rep.equal
 
 
+def test_engine_both_raises_on_first_mismatch(monkeypatch):
+    from mflef import lefschetz
+
+    fx = kfac("x", 1, 3)
+    t = [RootOfUnity(3, 1)]
+    u = MFMorphism.diagonal(fx, pullback(t, fx), [Scalar.one(), Scalar.zeta(3, 2)])
+    beta = u.inverse()
+    reference = lhs_hlf(fx, fx, t, u, beta)
+    calls = []
+
+    def off_by_one(*args, **kwargs):
+        calls.append(args)
+        return reference + 1
+
+    monkeypatch.setattr(lefschetz, "graded_euler_supertrace", off_by_one)
+    with pytest.raises(lefschetz.EngineDisagreementError):
+        lhs_hlf(fx, fx, t, u, beta, engine="both")
+    assert len(calls) == 1
+
+
 def test_hrr_special_case_spinor():
     # t = id, alpha = beta = id: the verified identity is chi(Hom(A, B)) =
     # <ch A, ch B> computed through boundary_bulk + canonical_pairing

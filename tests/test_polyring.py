@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mflef.polyring import (
     find_weights,
     hessian_determinant,
     mirror_ring,
+    monomials_of_weighted_degree,
     partial_derivative,
     scale_substitute,
     substitute,
@@ -155,6 +157,29 @@ def test_find_weights():
     assert find_weights(x2 * y2) == (Fraction(1, 2), Fraction(1, 2))
     # not quasi-homogeneous
     assert find_weights(x2**3 + x2**2 + y2**7) is None
+
+
+@pytest.mark.parametrize("weights", [
+    (1,),
+    (1, 1, 1),
+    (Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(3, 8), Fraction(1, 4)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+])
+def test_monomials_of_weighted_degree_match_brute_force(weights):
+    def wdeg(m):
+        return sum(q * e for q, e in zip(weights, m))
+
+    top = 2
+    boxes = [range(int(top / Fraction(q)) + 1) for q in weights]
+    reachable = sorted({wdeg(m) for m in itertools.product(*boxes) if wdeg(m) <= top})
+    assert reachable[0] == 0 and len(reachable) > 2
+    for d in reachable:
+        # same monomials in the same (lexicographic) order as the brute force
+        expected = [m for m in itertools.product(*boxes) if wdeg(m) == d]
+        assert monomials_of_weighted_degree(weights, d) == expected
+    assert monomials_of_weighted_degree(weights, Fraction(1, 7)) == []
+    assert monomials_of_weighted_degree(weights, -1) == []
 
 
 def test_str_deterministic():
