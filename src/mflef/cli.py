@@ -41,6 +41,7 @@ from .hilbert import (
 )
 from .lefschetz import (
     LefschetzReport,
+    _now,
     boundary_bulk,
     divisibility_check,
     lunts_check,
@@ -115,13 +116,15 @@ def run_command(command, args, doc, engine="groebner"):
     if command == "milnor":
         (wname,) = _args(args, 1)
         w = _need(doc, "potentials", wname)
+        start = _now()
         algebra = MilnorAlgebra(w)
+        micros = _now() - start
         basis = ", ".join(_mono_str(w.ring, m) for m in algebra.basis)
         lines = [f"milnor {wname}: mu = {algebra.milnor_number}  basis = [{basis}]"]
         report = {
             "case": wname, "command": command,
             "lhs": str(algebra.milnor_number), "rhs": str(algebra.milnor_number),
-            "equal": True, "engine": "groebner", "micros": 0,
+            "equal": True, "engine": "groebner", "micros": micros,
         }
         return lines, [report], True
 
@@ -130,27 +133,31 @@ def run_command(command, args, doc, engine="groebner"):
         mf = _mf(doc, aname)
         roots = _symmetry_roots(doc, sname)
         alpha = _morphism_as(doc, mname, "target")
+        start = _now()
         tau = boundary_bulk(mf, roots, alpha)
+        micros = _now() - start
         parity = "odd" if tau.parity else "even"
         lines = [f"bb {aname} {sname} {mname}: class = {tau.class_poly}  parity = {parity}"]
         report = {
             "case": f"{aname}/{sname}/{mname}", "command": command,
             "lhs": str(tau.class_poly), "rhs": str(tau.class_poly),
-            "equal": True, "engine": "boundary-bulk", "micros": 0,
+            "equal": True, "engine": "boundary-bulk", "micros": micros,
         }
         return lines, [report], True
 
     if command == "pair":
         aname, bname, sname, m1, m2 = _args(args, 5)
+        start = _now()
         value = rhs_hlf(
             _mf(doc, aname), _mf(doc, bname), _symmetry_roots(doc, sname),
             _morphism_as(doc, m1, "target"), _morphism_as(doc, m2, "source"),
         )
+        micros = _now() - start
         lines = [f"pair {aname} {bname} {sname}: value = {value}"]
         report = {
             "case": f"{aname}/{bname}/{sname}", "command": command,
             "lhs": str(value), "rhs": str(value), "equal": True,
-            "engine": "residue-pairing", "micros": 0,
+            "engine": "residue-pairing", "micros": micros,
         }
         return lines, [report], True
 
@@ -209,16 +216,18 @@ def run_command(command, args, doc, engine="groebner"):
         mname, wname = _args(args, 2)
         pres = _need(doc, "modules", mname)
         w = _need(doc, "potentials", wname)
+        start = _now()
         mf, alpha = stabilize_module(pres, w)
         validate_mf(mf)
         lines = [f"stabilize {mname} {wname}: ranks = ({mf.r0},{mf.r1})"]
         if alpha is not None:
             value = supertrace_at_origin(alpha)
             lines.append(f"stabilize {mname} {wname}: str((-1)*|0) = {value}")
+        micros = _now() - start
         report = {
             "case": f"{mname}/{wname}", "command": command,
             "lhs": f"({mf.r0},{mf.r1})", "rhs": f"({mf.r0},{mf.r1})",
-            "equal": True, "engine": "stabilization", "micros": 0,
+            "equal": True, "engine": "stabilization", "micros": micros,
         }
         return lines, [report], True
 
@@ -229,8 +238,10 @@ def run_command(command, args, doc, engine="groebner"):
         else:
             mname, wname = _args(args, 2)
         pres = _need(doc, "modules", mname)
+        start = _now()
         chi = chi_polynomial(pres)
         data = multiplicity_data(chi, pres.ring.nvars)
+        micros = _now() - start
         lines = [
             f"hilbert {mname}: chi = {chi}  d = {data.krull_dim}  e = {data.multiplicity}"
         ]
@@ -238,7 +249,7 @@ def run_command(command, args, doc, engine="groebner"):
         reports = [{
             "case": mname, "command": command, "lhs": str(chi),
             "rhs": f"({data.multiplicity})*(1-t)^{pres.ring.nvars - data.krull_dim}",
-            "equal": True, "engine": "free-resolution", "micros": 0,
+            "equal": True, "engine": "free-resolution", "micros": micros,
         }]
         if wname is not None:
             w = _need(doc, "potentials", wname)

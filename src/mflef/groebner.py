@@ -127,19 +127,20 @@ def _coerce_vec(element, rank=None):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis of a submodule of R^rank (R^1 = ideal case)."""
+    """A reduced Groebner basis of a submodule of R^rank (R^1 = ideal case).
 
-    __slots__ = ("ring", "rank", "generators", "_leads_by_comp")
+    Every generator is monic, so reduction never divides by a lead.
+    """
+
+    __slots__ = ("ring", "rank", "generators")
 
     def __init__(self, ring, rank, generators):
+        for g in generators:
+            if g.terms[g.lead()] != 1:
+                raise ValueError("Groebner basis generators must be monic")
         self.ring = ring
         self.rank = rank
         self.generators = generators
-        leads = {}
-        for idx, g in enumerate(generators):
-            comp, mono = g.lead()
-            leads.setdefault(comp, []).append((mono, idx))
-        self._leads_by_comp = leads
 
     def __len__(self):
         return len(self.generators)
@@ -158,16 +159,14 @@ def _heap_key(comp, mono):
 def _full_reduce(vec: Vec, gens, with_quotients=False):
     """Unique remainder with no term divisible by any generator lead.
 
-    Works on a mutable term dict with a lazy max-heap of candidate leading
-    terms; each reduction step touches only the terms of one generator.
+    The generators must be monic.  Works on a mutable term dict with a lazy
+    max-heap of candidate leading terms; each reduction step touches only the
+    terms of one generator.
     """
     leads = {}
-    lead_data = []
     for idx, g in enumerate(gens):
-        key = g.lead()
-        comp, mono = key
+        comp, mono = g.lead()
         leads.setdefault(comp, []).append((mono, idx))
-        lead_data.append((key, g.terms[key].inverse()))
     quotients = [dict() for _ in gens] if with_quotients else None
     remainder: dict = {}
     work = dict(vec.terms)
@@ -190,8 +189,7 @@ def _full_reduce(vec: Vec, gens, with_quotients=False):
             continue
         lead_mono, idx = reducer
         g = gens[idx]
-        lead_key, lead_inv = lead_data[idx]
-        factor = coeff * lead_inv
+        lead_key = (comp, lead_mono)
         qmono = monomial_div(mono, lead_mono)
         del work[(comp, mono)]
         for (gc, gm), gcoef in g.terms.items():
@@ -200,12 +198,12 @@ def _full_reduce(vec: Vec, gens, with_quotients=False):
             tkey = (gc, monomial_mul(gm, qmono))
             old = work.get(tkey)
             if old is None:
-                val = -(factor * gcoef)
+                val = -(coeff * gcoef)
                 if not val.is_zero():
                     work[tkey] = val
                     heapq.heappush(heap, _heap_key(*tkey) + tkey)
             else:
-                val = old - factor * gcoef
+                val = old - coeff * gcoef
                 if val.is_zero():
                     del work[tkey]
                 else:
@@ -213,7 +211,7 @@ def _full_reduce(vec: Vec, gens, with_quotients=False):
         if with_quotients:
             q = quotients[idx]
             s = q.get(qmono)
-            s = factor if s is None else s + factor
+            s = coeff if s is None else s + coeff
             if s.is_zero():
                 q.pop(qmono, None)
             else:

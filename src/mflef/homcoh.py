@@ -3,9 +3,9 @@
 Two engines compute supertraces of the twisted endomorphism
 phi -> beta o t^*(phi) o alpha:
 
-* the Groebner engine presents H = ker D / im D as the cokernel of a column
-  module (kernel via syzygies, image lifted through the kernel basis plus the
-  kernel's own syzygies) and reduces cocycles to a standard-monomial basis;
+* the Groebner engine takes ker D as syzygies; one elimination per parity
+  then gives the relations among them, a standard-monomial basis of H and a
+  one-step reduction of cocycles to coordinates (see CohomologyBasis);
 * the graded Euler engine works degree by degree: for each internal degree of
   a quasi-homogeneous Hom complex the trace on the cohomology subquotient of
   the finite three-term strand is plain scalar linear algebra.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .groebner import Vec, buchberger, normal_form, standard_monomials, syzygy_basis
+from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
 from .mfcore import MatrixFactorization, MFMorphism, _poly_mat_mul, _zeros
 from .polyring import Polynomial, WeightSystem, monomials_of_weighted_degree, scale_substitute
@@ -96,17 +96,30 @@ def hom_complex(source: MatrixFactorization, target: MatrixFactorization) -> Hom
 
 
 class CohomologyBasis:
-    """Even/odd bases of H(Hom(A,B)) with reduction of cocycles to coordinates."""
+    """Even/odd bases of H(Hom(A,B)) with reduction of cocycles to coordinates.
 
-    __slots__ = ("hom", "std", "_kernel_cols", "_lift_gb", "_rel_gb")
+    Per parity, K is a syzygy basis of D: its s columns generate the
+    cocycles in the rank-npairs cochain module.  One Buchberger run on the
+    columns (K e_j, e_j) and (D c, 0) of R^npairs + R^s gives a basis G of
+    M = {(K v + D c, v)}.  M meets the trailing block R^s in the relations
+    {v : K v in im D}, so H = R^s / relations.  Position-over-term order
+    ranks the leading block first; hence the elements of G whose lead lies
+    on the trailing block are supported there and form the reduced basis of
+    the relations.  A reduced basis is unique, so its standard monomials are
+    the basis that a separate relation computation would give.  A cocycle
+    phi = K u reduces in one normal form: (phi, 0) = (K u, u) - (0, u), so
+    its remainder is (0, -v) with v the reduced coordinates of u.
+    """
+
+    __slots__ = ("hom", "std", "_kernel_cols", "_gb")
 
     def __init__(self, hom: HomComplex):
         self.hom = hom
         ring = hom.ring
+        unit = (0,) * ring.nvars
         std = []
         kernels = []
-        lift_gbs = []
-        rel_gbs = []
+        gbs = []
         for parity in (0, 1):
             d_out = hom.d_matrices[parity]
             d_in = hom.d_matrices[1 - parity]
@@ -119,48 +132,35 @@ class CohomologyBasis:
             kernels.append(kernel_cols)
             if s == 0:
                 std.append(())
-                lift_gbs.append(None)
-                rel_gbs.append(None)
+                gbs.append(None)
                 continue
-            # relations: {v : K v lies in im D} via syzygies of [K | image]
-            image_cols = (
-                [[d_in[i][j] for i in range(npairs)] for j in range(len(d_in[0]))]
-                if d_in and d_in[0]
-                else []
-            )
-            combined = [
-                [
-                    (kernel_cols[j][i] if j < s else image_cols[j - s][i])
-                    for j in range(s + len(image_cols))
+            columns = []
+            for j, col in enumerate(kernel_cols):
+                vec = Vec.from_column(col, npairs + s)
+                vec.terms[(npairs + j, unit)] = Scalar.one()
+                columns.append(vec)
+            if d_in and d_in[0]:
+                columns += [
+                    Vec.from_column([row[j] for row in d_in], npairs + s)
+                    for j in range(len(d_in[0]))
                 ]
-                for i in range(npairs)
+            gb = buchberger(columns)
+            relations = [
+                Vec(ring, s, {(comp - npairs, m): c for (comp, m), c in g.terms.items()})
+                for g in gb.generators
+                if g.lead()[0] >= npairs
             ]
-            rel_cols = syzygy_basis(combined)
-            rel_vecs = [Vec.from_column(col[:s], s) for col in rel_cols]
-            rel_vecs = [v for v in rel_vecs if not v.is_zero()]
-            rel_gb = buchberger(rel_vecs, rank=s) if rel_vecs else buchberger([], rank=s)
-            monos = standard_monomials(rel_gb, nvars=ring.nvars)
+            monos = standard_monomials(GroebnerBasis(ring, s, relations))
             if monos is None:
                 raise NonIsolatedError(
                     "Hom-complex cohomology is infinite-dimensional; "
                     "the potential is not an isolated singularity"
                 )
             std.append(tuple(monos))
-            rel_gbs.append(rel_gb)
-            # lifting basis: GB of columns of K augmented by unit tails
-            augmented = []
-            for j in range(s):
-                terms = {}
-                for i in range(npairs):
-                    for m, c in kernel_cols[j][i].terms.items():
-                        terms[(i, m)] = c
-                terms[(npairs + j, (0,) * ring.nvars)] = Scalar.one()
-                augmented.append(Vec(ring, npairs + s, terms))
-            lift_gbs.append(buchberger(augmented))
+            gbs.append(gb)
         self.std = tuple(std)
         self._kernel_cols = tuple(kernels)
-        self._lift_gb = tuple(lift_gbs)
-        self._rel_gb = tuple(rel_gbs)
+        self._gb = tuple(gbs)
 
     @property
     def dims(self):
@@ -184,32 +184,22 @@ class CohomologyBasis:
         """Coordinates of a closed morphism's class in the chosen basis."""
         parity = phi.parity
         column = self.hom.flatten(phi)
-        s = len(self._kernel_cols[parity])
-        if s == 0:
+        gb = self._gb[parity]
+        if gb is None:
             if any(not e.is_zero() for e in column):
                 raise ValueError("morphism is not a cocycle")
             return []
-        npairs = len(self.hom.pairs[parity])
-        ring = self.hom.ring
-        terms = {}
-        for i, entry in enumerate(column):
-            for m, c in entry.terms.items():
-                terms[(i, m)] = c
-        vec = Vec(ring, npairs + s, terms)
-        rem = normal_form(vec, self._lift_gb[parity])
-        coeff_cols = [dict() for _ in range(s)]
-        for (comp, m), c in rem.terms.items():
-            if comp < npairs:
-                raise ValueError("morphism is not a cocycle (lift through the kernel failed)")
-            coeff_cols[comp - npairs][m] = -c
-        coeffs = Vec.from_column([Polynomial(ring, d) for d in coeff_cols], s)
-        nf = normal_form(coeffs, self._rel_gb[parity])
+        npairs = len(column)
+        rem = normal_form(Vec.from_column(column, gb.rank), gb)
         coords = [Scalar.zero()] * len(self.std[parity])
         lookup = {key: k for k, key in enumerate(self.std[parity])}
-        for key, c in nf.terms.items():
-            if key not in lookup:
+        for (comp, m), c in rem.terms.items():
+            if comp < npairs:
+                raise ValueError("morphism is not a cocycle")
+            k = lookup.get((comp - npairs, m))
+            if k is None:
                 raise AssertionError("normal form left a non-standard monomial")
-            coords[lookup[key]] = c
+            coords[k] = -c
         return coords
 
 
@@ -297,6 +287,17 @@ def _operator_shift(mf: MatrixFactorization, weights):
             elif shift != s:
                 raise ValueError("operator is not homogeneous for the declared grading")
     return shift
+
+
+def _weights_and_shift(a, b):
+    """Weights of the potential and the operator shift shared by A and B."""
+    ws = WeightSystem.of(a.potential)
+    if ws is None:
+        raise ValueError("potential is not quasi-homogeneous")
+    shift = _operator_shift(a, ws.weights)
+    if _operator_shift(b, ws.weights) != shift:
+        raise ValueError("source and target gradings use different operator shifts")
+    return ws.weights, shift
 
 
 def _morphism_degree(phi, weights, src_grading, dst_grading):
@@ -387,15 +388,7 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
     endomorphism; the trace on its middle cohomology is computed directly and
     summed over the default window (outside of which cohomology vanishes).
     """
-    w = a.potential
-    ws = WeightSystem.of(w)
-    if ws is None:
-        raise ValueError("potential is not quasi-homogeneous")
-    weights = ws.weights
-    shift_a = _operator_shift(a, weights)
-    shift_b = _operator_shift(b, weights)
-    if shift_a != shift_b:
-        raise ValueError("source and target gradings use different operator shifts")
+    weights, shift = _weights_and_shift(a, b)
     ga, gb = a.grading_list(), b.grading_list()
     twist_degree = _morphism_degree(alpha, weights, ga, ga) + _morphism_degree(
         beta, weights, gb, gb
@@ -408,7 +401,7 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
         raise ValueError("parity-reversing twists have no supertrace")
     scales = [as_scalar(s) for s in t]
     total = Scalar.zero()
-    for parity, piece, m_out, m_in in _strands(a, b, weights, shift_a):
+    for parity, piece, m_out, m_in in _strands(a, b, weights, shift):
         t_mat = _twist_matrix(a, b, piece, scales, alpha, beta, a.ring)
         tr = _subquotient_trace(m_out, m_in, t_mat)
         total = total + (tr if parity == 0 else -tr)
@@ -417,9 +410,9 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
 
 def graded_cohomology_dimensions(a, b):
     """Brute-force degree-truncated oracle for the cohomology dimensions."""
-    weights = WeightSystem.of(a.potential).weights
+    weights, shift = _weights_and_shift(a, b)
     dims = [0, 0]
-    for parity, piece, m_out, m_in in _strands(a, b, weights, _operator_shift(a, weights)):
+    for parity, piece, m_out, m_in in _strands(a, b, weights, shift):
         kernel_dim = len(linalg.nullspace(m_out)) if m_out else len(piece.elements)
         image_rank = linalg.rank(m_in) if m_in and m_in[0] else 0
         dims[parity] += kernel_dim - image_rank

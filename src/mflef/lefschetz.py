@@ -30,6 +30,7 @@ from .milnor import (
 from .mfcore import (
     MatrixFactorization,
     MFMorphism,
+    _poly_mat_mul,
     equivariance_power_check,
     pullback,
     supertrace_at_origin,
@@ -116,16 +117,7 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
     composite = alpha.matrix
     for f in fixed:
         derived = [[partial_derivative(e, f) for e in row] for row in delta]
-        out = [[ring.zero() for _ in range(mf.total_rank)] for _ in range(mf.total_rank)]
-        for i in range(mf.total_rank):
-            for k in range(mf.total_rank):
-                entry = derived[i][k]
-                if entry.is_zero():
-                    continue
-                for j in range(mf.total_rank):
-                    if not composite[k][j].is_zero():
-                        out[i][j] = out[i][j] + entry * composite[k][j]
-        composite = out
+        composite = _poly_mat_mul(derived, composite, ring, cols=mf.total_rank)
     if (len(fixed) + alpha.parity) % 2:
         return ts.zero()
     trace = ring.zero()

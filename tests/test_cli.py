@@ -152,6 +152,23 @@ def test_json_report(tmp_path, capsys):
         assert rep["equal"] is True
 
 
+@pytest.mark.parametrize("fixture, argv", [
+    ("a2", ["milnor", "w"]),
+    ("a2", ["bb", "A", "t", "alpha"]),
+    ("a2", ["pair", "A", "A", "t", "alpha", "beta"]),
+    ("passing", ["stabilize", "M", "w"]),
+    ("passing", ["hilbert", "M"]),
+])
+def test_json_reports_carry_elapsed_time(fixture, argv, tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code = _run(argv + ["-i", str(FIXTURES / f"{fixture}.mflef"), "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 0
+    [report] = json.loads(out_path.read_text())["reports"]
+    assert report["command"] == argv[0]
+    assert isinstance(report["micros"], int) and report["micros"] > 0
+
+
 def test_engine_both_flag(capsys):
     code = _run(["hlf-verify", "caseA2", "-i", str(FIXTURES / "a2.mflef"),
                  "--engine", "both"])

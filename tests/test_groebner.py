@@ -5,6 +5,7 @@ from mflef.scalars import Scalar
 from mflef.polyring import PolyRing, degrevlex_key
 from mflef.groebner import (
     GradedModulePresentation,
+    GroebnerBasis,
     NotInModuleError,
     Vec,
     buchberger,
@@ -43,6 +44,16 @@ def test_buchberger_nontrivial_spair():
     assert "x^2 - y" in polys
     assert any("y^2" in p for p in polys)
     assert normal_form(y**2 - y, gb).is_zero()
+
+
+def test_groebner_basis_requires_monic_generators():
+    x = R1.var("x")
+    with pytest.raises(ValueError, match="monic"):
+        GroebnerBasis(R1, 1, [Vec.from_poly(2 * x)])
+    zeta_lead = Vec.from_poly(x * Scalar.zeta(3))
+    with pytest.raises(ValueError, match="monic"):
+        GroebnerBasis(R1, 1, [zeta_lead])
+    assert len(GroebnerBasis(R1, 1, [Vec.from_poly(x + 3)])) == 1
 
 
 def test_normal_form_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import mflef.homcoh
 from mflef.scalars import RootOfUnity, Scalar
 from mflef.polyring import PolyRing
 from mflef.mfcore import MFMorphism, MatrixFactorization, koszul_mf, pullback
@@ -18,6 +19,8 @@ from mflef.homcoh import (
 
 R1 = PolyRing(("x",))
 x = R1.var("x")
+R2 = PolyRing(("x", "y"))
+x2, y2 = R2.var("x"), R2.var("y")
 
 
 def graded_rank11(a_exp, d):
@@ -197,3 +200,86 @@ def test_cohomology_rejects_non_isolated_potential():
     mf = MatrixFactorization(xx**2 * yy**2, [[xx * yy**2]], [[xx]])
     with pytest.raises(NonIsolatedError):
         cohomology(hom_complex(mf, mf))
+
+
+def _hom_pairs_xy():
+    """End of a two-variable Koszul factorization of x^3 + y^3, and a Hom(A, B)."""
+    a = koszul_mf([x2, y2], [x2**2, y2**2])
+    b = koszul_mf([x2**2, y2], [x2, y2**2])
+    return [(a, a), (a, b)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["end", "hom"])
+def test_reduce_inverts_representative_modulo_coboundaries(case):
+    rng = random.Random(case)
+    a, b = _hom_pairs_xy()[case]
+    hx = hom_complex(a, b)
+    basis = cohomology(hx)
+    assert basis.dims[0] > 0 and basis.dims[1] > 0
+    for parity in (0, 1):
+        n = basis.dims[parity]
+        for k in range(n):
+            unit = [Scalar.one() if i == k else Scalar.zero() for i in range(n)]
+            rep = basis.representative(parity, k)
+            assert basis.reduce(rep) == unit
+            column = [
+                R2.monomial((rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-2, 2))
+                for _ in hx.pairs[1 - parity]
+            ]
+            psi = hx.unflatten(1 - parity, column)
+            assert basis.reduce(rep + psi.differential()) == unit
+
+
+def test_reduce_rejects_non_cocycle():
+    a, b = _hom_pairs_xy()[1]
+    hx = hom_complex(a, b)
+    basis = cohomology(hx)
+    for parity in (0, 1):
+        column = [R2.zero() for _ in hx.pairs[parity]]
+        column[0] = R2.one()
+        phi = hx.unflatten(parity, column)
+        assert not phi.is_closed()
+        with pytest.raises(ValueError, match="not a cocycle"):
+            basis.reduce(phi)
+
+
+def test_cohomology_basis_makes_one_elimination_per_parity(monkeypatch):
+    calls = {"buchberger": 0, "syzygy_basis": 0}
+
+    def counting(name):
+        original = getattr(mflef.homcoh, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mflef.homcoh, name, counting(name))
+    for a, b in _hom_pairs_xy():
+        calls.update(buchberger=0, syzygy_basis=0)
+        hx = hom_complex(a, b)
+        cohomology(hx)
+        nonempty = sum(1 for parity in (0, 1) if hx.pairs[parity])
+        assert nonempty == 2
+        assert calls == {"buchberger": nonempty, "syzygy_basis": nonempty}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("ungraded target", "factorization carries no internal grading"),
+    ("ungraded source", "factorization carries no internal grading"),
+    ("non-quasi-homogeneous", "potential is not quasi-homogeneous"),
+])
+def test_graded_functions_validate_alike(case, message):
+    graded, ungraded = graded_rank11(1, 3), koszul_mf([x], [x**2])
+    a, b = {
+        "ungraded target": (graded, ungraded),
+        "ungraded source": (ungraded, graded),
+        "non-quasi-homogeneous": (koszul_mf([x], [x + x**2], gradings=[Fraction(1, 2)]),) * 2,
+    }[case]
+    ident = MFMorphism.identity(a)
+    with pytest.raises(ValueError, match=message):
+        graded_cohomology_dimensions(a, b)
+    with pytest.raises(ValueError, match=message):
+        graded_euler_supertrace(a, b, [RootOfUnity(1, 0)], ident, ident)
