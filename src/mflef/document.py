@@ -362,11 +362,11 @@ def _parse_fraction_list(value, line):
         piece = piece.strip()
         if not piece:
             continue
-        if "/" in piece:
-            num, _, den = piece.partition("/")
-            out.append(Fraction(int(num.strip()), int(den.strip())))
-        else:
-            out.append(Fraction(int(piece)))
+        num, slash, den = piece.partition("/")
+        try:
+            out.append(Fraction(int(num), int(den) if slash else 1))
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError(f"invalid number {piece!r}", line) from None
     return out
 
 
@@ -545,7 +545,9 @@ def _load_module(doc, data, free, line):
         raise DocumentError("module needs a vars list", line)
     if "degrees" not in data:
         raise DocumentError("module needs generator degrees", line)
-    degrees = [int(p.strip()) for p in data["degrees"][0].split(",") if p.strip()]
+    degrees = _parse_fraction_list(data["degrees"][0], line)
+    if any(d.denominator != 1 for d in degrees):
+        raise DocumentError("module degrees must be integers", line)
     relations = []
     if "relations" in data and isinstance(data["relations"][0], list):
         relations = _parse_matrix(data["relations"][0], ring, line)

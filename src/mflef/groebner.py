@@ -4,6 +4,9 @@ Elements of a rank-r free module are sparse maps (component, monomial) ->
 Scalar.  The term order is degree-reverse-lexicographic on monomials, extended
 position-over-term to modules with lower component index taking priority; that
 fixed priority is what makes the syzygy computation below an elimination.
+`term_key` is the one encoding of this order: the leading term of a vector is
+the term with the smallest key.  A `GroebnerBasis` indexes its generators by
+lead once, in `leads`, and every reduction reads that index.
 All pair selection and reduction choices are deterministic, so reduced bases
 and everything derived from them are reproducible bit for bit.
 """
@@ -11,6 +14,7 @@ and everything derived from them are reproducible bit for bit.
 from __future__ import annotations
 
 import heapq
+import itertools
 
 from .polyring import (
     Monomial,
@@ -30,8 +34,9 @@ class NotInModuleError(ValueError):
 
 
 def term_key(term):
+    """Sort key of a (component, monomial) term; the leading term sorts first."""
     comp, mono = term
-    return (-comp, degrevlex_key(mono))
+    return (comp, -sum(mono), tuple(reversed(mono)))
 
 
 class Vec:
@@ -43,10 +48,6 @@ class Vec:
         self.ring = ring
         self.rank = rank
         self.terms = terms
-
-    @staticmethod
-    def zero(ring, rank):
-        return Vec(ring, rank, {})
 
     @staticmethod
     def from_column(column, rank=None):
@@ -77,7 +78,7 @@ class Vec:
         return not self.terms
 
     def lead(self):
-        return max(self.terms, key=term_key)
+        return min(self.terms, key=term_key)
 
     def scaled(self, coeff: Scalar, mono: Monomial):
         terms = {}
@@ -127,55 +128,54 @@ def _coerce_vec(element, rank=None):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis of a submodule of R^rank (R^1 = ideal case).
+    """A Groebner basis of a submodule of R^rank (R^1 = ideal case).
 
-    Every generator is monic, so reduction never divides by a lead.
+    Every generator is monic, so reduction never divides by a lead.  `leads`
+    is the lead index: it maps each component to the (lead monomial,
+    generator index) pairs of the generators leading in that component, in
+    generator order.  It is built once, as generators are appended, and
+    reduction, pair selection and standard monomials all read it.
     """
 
-    __slots__ = ("ring", "rank", "generators")
+    __slots__ = ("ring", "rank", "generators", "leads")
 
     def __init__(self, ring, rank, generators):
-        for g in generators:
-            if g.terms[g.lead()] != 1:
-                raise ValueError("Groebner basis generators must be monic")
         self.ring = ring
         self.rank = rank
-        self.generators = generators
+        self.generators = []
+        self.leads = {}
+        for g in generators:
+            self.append(g)
+
+    def append(self, g):
+        """Add a monic generator and index it; returns its lead (component, monomial)."""
+        lead = g.lead()
+        if g.terms[lead] != 1:
+            raise ValueError("Groebner basis generators must be monic")
+        self.leads.setdefault(lead[0], []).append((lead[1], len(self.generators)))
+        self.generators.append(g)
+        return lead
 
     def __len__(self):
         return len(self.generators)
 
-    def generator_polys(self):
-        if self.rank != 1:
-            raise ValueError("not an ideal basis")
-        return [g.to_poly() for g in self.generators]
 
-
-def _heap_key(comp, mono):
-    # min-heap ordering that pops the LARGEST term (position-over-term degrevlex)
-    return (comp, -sum(mono), tuple(reversed(mono)))
-
-
-def _full_reduce(vec: Vec, gens, with_quotients=False):
+def _full_reduce(vec: Vec, gens, leads, with_quotients=False):
     """Unique remainder with no term divisible by any generator lead.
 
-    The generators must be monic.  Works on a mutable term dict with a lazy
-    max-heap of candidate leading terms; each reduction step touches only the
-    terms of one generator.
+    The generators must be monic and `leads` must be their lead index (see
+    `GroebnerBasis`).  Works on a mutable term dict with a lazy heap of
+    candidate leading terms; each reduction step touches only the terms of
+    one generator.
     """
-    leads = {}
-    for idx, g in enumerate(gens):
-        comp, mono = g.lead()
-        leads.setdefault(comp, []).append((mono, idx))
     quotients = [dict() for _ in gens] if with_quotients else None
     remainder: dict = {}
     work = dict(vec.terms)
-    heap = [_heap_key(c, m) + (c, m) for (c, m) in work]
+    heap = [(term_key(t), t) for t in work]
     heapq.heapify(heap)
     while heap:
-        entry = heapq.heappop(heap)
-        comp, mono = entry[3], entry[4]
-        coeff = work.get((comp, mono))
+        comp, mono = term = heapq.heappop(heap)[1]
+        coeff = work.get(term)
         if coeff is None:
             continue  # stale heap entry
         reducer = None
@@ -184,14 +184,14 @@ def _full_reduce(vec: Vec, gens, with_quotients=False):
                 reducer = (lead_mono, idx)
                 break
         if reducer is None:
-            remainder[(comp, mono)] = coeff
-            del work[(comp, mono)]
+            remainder[term] = coeff
+            del work[term]
             continue
         lead_mono, idx = reducer
         g = gens[idx]
         lead_key = (comp, lead_mono)
         qmono = monomial_div(mono, lead_mono)
-        del work[(comp, mono)]
+        del work[term]
         for (gc, gm), gcoef in g.terms.items():
             if (gc, gm) == lead_key:
                 continue  # the lead cancels exactly
@@ -201,7 +201,7 @@ def _full_reduce(vec: Vec, gens, with_quotients=False):
                 val = -(coeff * gcoef)
                 if not val.is_zero():
                     work[tkey] = val
-                    heapq.heappush(heap, _heap_key(*tkey) + tkey)
+                    heapq.heappush(heap, (term_key(tkey), tkey))
             else:
                 val = old - coeff * gcoef
                 if val.is_zero():
@@ -232,66 +232,54 @@ def buchberger(generators, rank=None) -> GroebnerBasis:
         return GroebnerBasis(None, rank, [])
     ring = items[0].ring
     rank = items[0].rank
-    basis = []
-    heap: list = []
-    counter = 0
+    gb = GroebnerBasis(ring, rank, [])
+    pairs: list = []  # heap of (lcm key, push count, i, lcm / lead_i, j, lcm / lead_j)
+    pushes = itertools.count()
 
-    def push_pairs(new_idx):
-        nonlocal counter
-        comp_new, mono_new = basis[new_idx].lead()
-        for old_idx in range(new_idx):
-            comp_old, mono_old = basis[old_idx].lead()
-            if comp_old != comp_new:
-                continue
-            if rank == 1 and monomial_mul(mono_old, mono_new) == monomial_lcm(mono_old, mono_new):
+    def add(v):
+        new = len(gb)
+        comp, mono = gb.append(v.monic())
+        for old_mono, old in gb.leads[comp][:-1]:
+            lcm = monomial_lcm(old_mono, mono)
+            if rank == 1 and monomial_mul(old_mono, mono) == lcm:
                 continue  # coprime leads: S-polynomial reduces to zero (ideal case)
-            lcm = monomial_lcm(mono_old, mono_new)
-            heapq.heappush(heap, (sum(lcm), degrevlex_key(lcm), counter, old_idx, new_idx))
-            counter += 1
+            heapq.heappush(pairs, (degrevlex_key(lcm), next(pushes), old,
+                                   monomial_div(lcm, old_mono), new, monomial_div(lcm, mono)))
 
     for v in items:
-        basis.append(v.monic())
-        push_pairs(len(basis) - 1)
-
-    while heap:
-        _, _, _, i, j = heapq.heappop(heap)
-        gi, gj = basis[i], basis[j]
-        (comp, mi), (_, mj) = gi.lead(), gj.lead()
-        lcm = monomial_lcm(mi, mj)
-        s = gi.scaled(Scalar.one(), monomial_div(lcm, mi)).sub_scaled(
-            gj, Scalar.one(), monomial_div(lcm, mj)
-        )
-        rem = _full_reduce(s, basis)
+        add(v)
+    while pairs:
+        _, _, i, qi, j, qj = heapq.heappop(pairs)
+        gens = gb.generators
+        s = gens[i].scaled(Scalar.one(), qi).sub_scaled(gens[j], Scalar.one(), qj)
+        rem = _full_reduce(s, gens, gb.leads)
         if not rem.is_zero():
-            basis.append(rem.monic())
-            push_pairs(len(basis) - 1)
+            add(rem)
 
-    # inter-reduce to the unique reduced basis: prune redundant leads, then
-    # one tail-reduction pass (tails depend only on the fixed set of leads)
-    kept = []
-    leads = [g.lead() for g in basis]
-    for i, g in enumerate(basis):
-        comp_i, mono_i = leads[i]
-        redundant = False
-        for j in range(len(basis)):
-            if j == i:
-                continue
-            comp_j, mono_j = leads[j]
-            if comp_j != comp_i or not monomial_divides(mono_j, mono_i):
-                continue
-            if mono_j != mono_i or j < i:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    basis = kept
+    # inter-reduce to the unique reduced basis: prune generators whose lead
+    # is divisible by another's (keeping the first of equal leads), then
+    # reduce each tail by the kept generators.  Every tail term, and every
+    # term its reduction produces, lies below the generator's own lead, so
+    # the generator cannot reduce itself and one shared index serves all.
+    kept = GroebnerBasis(ring, rank, [
+        gb.generators[i]
+        for entries in gb.leads.values()
+        for mono, i in entries
+        if not any(
+            j != i and monomial_divides(other, mono) and (other != mono or j < i)
+            for other, j in entries
+        )
+    ])
     reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        reduced.append(_full_reduce(g, others).monic() if others else g)
-    basis = reduced
-    basis.sort(key=lambda g: term_key(g.lead()), reverse=True)
-    return GroebnerBasis(ring, rank, basis)
+    for comp, entries in kept.leads.items():
+        for mono, i in entries:
+            lead = (comp, mono)
+            tail = {t: c for t, c in kept.generators[i].terms.items() if t != lead}
+            g = _full_reduce(Vec(ring, rank, tail), kept.generators, kept.leads)
+            g.terms[lead] = Scalar.one()
+            reduced.append((term_key(lead), g))
+    reduced.sort(key=lambda entry: entry[0])
+    return GroebnerBasis(ring, rank, [g for _, g in reduced])
 
 
 def normal_form(element, gb: GroebnerBasis):
@@ -300,7 +288,7 @@ def normal_form(element, gb: GroebnerBasis):
     vec = _coerce_vec(element, gb.rank)
     if not gb.generators:
         return element
-    rem = _full_reduce(vec, gb.generators)
+    rem = _full_reduce(vec, gb.generators, gb.leads)
     return rem.to_poly() if was_poly else rem
 
 
@@ -313,7 +301,7 @@ def lift_through(targets, gb: GroebnerBasis):
     rows = []
     for target in targets:
         vec = _coerce_vec(target, gb.rank)
-        rem, quotients = _full_reduce(vec, gb.generators, with_quotients=True)
+        rem, quotients = _full_reduce(vec, gb.generators, gb.leads, with_quotients=True)
         if not rem.is_zero():
             raise NotInModuleError(f"{target!r} is not in the submodule")
         rows.append(quotients)
@@ -329,35 +317,25 @@ def standard_monomials(gb: GroebnerBasis, nvars=None):
     nvars = gb.ring.nvars if gb.ring is not None else nvars
     if nvars is None:
         raise ValueError("variable count needed for an empty basis")
-    leads: dict = {}
-    for g in gb.generators:
-        comp, mono = g.lead()
-        leads.setdefault(comp, []).append(mono)
-    # finite iff every component sees a pure power of every variable
     unit = (0,) * nvars
-    for comp in range(gb.rank):
-        monos = leads.get(comp, [])
-        if unit in monos:
-            continue  # unit leading term: component quotient is zero
-        if not monos and nvars > 0:
-            return None
-        for var in range(nvars):
-            if not any(m[var] and sum(m) == m[var] for m in monos):
-                return None
     result = []
     for comp in range(gb.rank):
-        monos = leads.get(comp, [])
-        if (0,) * nvars in monos:
-            continue
+        entries = gb.leads.get(comp, ())
+        if any(lead == unit for lead, _ in entries):
+            continue  # unit leading term: component quotient is zero
+        # finite iff some lead is a pure power of every variable
+        for var in range(nvars):
+            if not any(m[var] and sum(m) == m[var] for m, _ in entries):
+                return None
         seen = set()
-        queue = [(0,) * nvars]
+        queue = [unit]
         standard = []
         while queue:
             m = queue.pop()
             if m in seen:
                 continue
             seen.add(m)
-            if any(monomial_divides(lead, m) for lead in monos):
+            if any(monomial_divides(lead, m) for lead, _ in entries):
                 continue
             standard.append(m)
             for var in range(nvars):
@@ -532,10 +510,6 @@ def free_resolution(pres: GradedModulePresentation) -> FreeResolution:
     if not mat or not mat[0]:
         return FreeResolution(ring, [gen_degrees], [])
     col_degs = _column_degrees(mat, gen_degrees)
-    # a None column degree marks a zero column; strip them up front
-    keep = [j for j, d in enumerate(col_degs) if d is not None]
-    mat = [[row[j] for j in keep] for row in mat]
-    col_degs = [col_degs[j] for j in keep]
 
     degrees = [gen_degrees]
     matrices = []
@@ -557,9 +531,6 @@ def free_resolution(pres: GradedModulePresentation) -> FreeResolution:
             break
         mat = [[syz[j][i] for j in range(len(syz))] for i in range(len(syz[0]))]
         col_degs = _column_degrees(mat, degrees[-1])
-        keep = [j for j, d in enumerate(col_degs) if d is not None]
-        mat = [[row[j] for j in keep] for row in mat]
-        col_degs = [col_degs[j] for j in keep]
     if len(matrices) > ring.nvars:
         raise AssertionError("resolution exceeds the syzygy bound; minimization failed")
     return FreeResolution(ring, degrees, matrices)

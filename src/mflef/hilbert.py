@@ -172,23 +172,18 @@ def hilbert_function(pres: GradedModulePresentation, degree: int) -> int:
     """dim of the graded piece, by standard monomials of the relation module."""
     n_gens = len(pres.gen_degrees)
     ring = pres.ring
+    leads = {}
     if pres.relations and pres.relations[0]:
         cols = [
             Vec.from_column([pres.relations[i][j] for i in range(n_gens)], n_gens)
             for j in range(pres.num_relations)
         ]
-        gb = buchberger(cols, rank=n_gens)
-        leads = {}
-        for g in gb.generators:
-            comp, mono = g.lead()
-            leads.setdefault(comp, []).append(mono)
-    else:
-        leads = {}
+        leads = buchberger(cols, rank=n_gens).leads
     total = 0
     for comp in range(n_gens):
         want = degree - pres.gen_degrees[comp]
         for mono in monomials_of_weighted_degree((1,) * ring.nvars, want):
-            if not any(monomial_divides(lead, mono) for lead in leads.get(comp, ())):
+            if not any(monomial_divides(lead, mono) for lead, _ in leads.get(comp, ())):
                 total += 1
     return total
 

@@ -164,11 +164,6 @@ class Polynomial:
             raise ValueError("polynomial is not weighted-homogeneous")
         return degrees.pop()
 
-    def is_homogeneous(self, weights, degree) -> bool:
-        return all(
-            sum(Fraction(w) * e for w, e in zip(weights, m)) == degree for m in self.terms
-        )
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial")
@@ -517,11 +512,6 @@ class WeightSystem:
 
     def monomial_degree(self, m: Monomial) -> Fraction:
         return sum(q * e for q, e in zip(self.weights, m))
-
-    def is_quasi_homogeneous(self, f: Polynomial) -> bool:
-        return f.is_zero() or all(
-            self.monomial_degree(m) == self.degree for m in f.terms
-        )
 
     def __repr__(self):
         return f"WeightSystem({self.weights}, degree={self.degree})"

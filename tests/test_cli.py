@@ -245,3 +245,50 @@ def test_singular_alpha_is_input_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: alpha must be invertible at the origin"]
     assert "Traceback" not in proc.stderr
+
+
+ZERO_DENOMINATOR_MF = """
+[potential]
+w = x^3
+
+[mf]
+name = A
+potential = w
+d0 = { x }
+d1 = { x^2 }
+grading_even = 0
+grading_odd = {grading}
+"""
+
+BAD_DEGREE_MODULE = """
+[module]
+name = M
+vars = x, y
+degrees = 0, {degree}
+relations = {{
+x ; y
+0 ; x
+}}
+"""
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (ZERO_DENOMINATOR_MF.replace("{grading}", "1/0"), ["milnor", "w"],
+     "error: line 5: invalid number '1/0'"),
+    (BAD_DEGREE_MODULE.format(degree="1/0"), ["hilbert", "M"],
+     "error: line 2: invalid number '1/0'"),
+    (BAD_DEGREE_MODULE.format(degree="1/2"), ["hilbert", "M"],
+     "error: line 2: module degrees must be integers"),
+    (BAD_DEGREE_MODULE.format(degree="one"), ["hilbert", "M"],
+     "error: line 2: invalid number 'one'"),
+], ids=["grading-zero-denominator", "degree-zero-denominator", "degree-fraction", "degree-word"])
+def test_bad_number_in_list_is_input_error(text, argv, message, tmp_path):
+    doc = tmp_path / "bad.mflef"
+    doc.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflef.cli", *argv, "-i", str(doc)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [message]
+    assert "Traceback" not in proc.stderr

@@ -279,3 +279,92 @@ def test_free_resolution_koszul_three_variables():
         for row in mat:
             for entry in row:
                 assert entry.is_zero() or not entry.is_constant()
+
+
+def test_lead_index_lists_each_generator_once(monkeypatch):
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(v) for v in ("x", "y", "z"))
+    for gb in (
+        buchberger([x**2 - y * z, y**2 - x * z, z**2 - x * y]),
+        buchberger([Vec.from_column([x, y]), Vec.from_column([y, z]), Vec.from_column([z, x])]),
+    ):
+        indexed = [(comp, mono, i) for comp, entries in gb.leads.items() for mono, i in entries]
+        assert sorted(i for _, _, i in indexed) == list(range(len(gb)))
+        for comp, mono, i in indexed:
+            assert gb.generators[i].lead() == (comp, mono)
+        for entries in gb.leads.values():
+            assert [i for _, i in entries] == sorted(i for _, i in entries)
+
+        calls = []
+        lead = Vec.lead
+
+        def counted_lead(vec):
+            calls.append(vec)
+            return lead(vec)
+
+        monkeypatch.setattr(Vec, "lead", counted_lead)
+        element = [x**3 + y * z, z**3] if gb.rank == 2 else [x**3 * y]
+        normal_form(Vec.from_column(element), gb)
+        lift_through([gb.generators[0]], gb)
+        monkeypatch.setattr(Vec, "lead", lead)
+        assert calls == []
+
+
+def _without_columns(pres, dropped):
+    keep = [j for j in range(pres.num_relations) if j not in dropped]
+    rows = [[row[j] for j in keep] for row in pres.relations]
+    return GradedModulePresentation(pres.ring, pres.gen_degrees, rows)
+
+
+def test_free_resolution_ignores_zero_relation_columns():
+    R3 = PolyRing(("x", "y", "z"))
+    x, y = R2.var("x"), R2.var("y")
+    u, v, w = (R3.var(n) for n in ("x", "y", "z"))
+    o2, o3 = R2.zero(), R3.zero()
+    cases = [
+        (GradedModulePresentation(R2, [0], [[o2, o2]]), {0, 1}),
+        (GradedModulePresentation(R2, [0], [[x, o2, R2.one(), y]]), {1}),
+        (GradedModulePresentation(R2, [0], [[x**2, o2, x * y, y**3]]), {1}),
+        (GradedModulePresentation(R3, [0], [[o3, u, v, o3, w]]), {0, 3}),
+        (GradedModulePresentation(R2, [0, 1], [[x, o2, y**2], [R2.one(), o2, y]]), {1}),
+        (GradedModulePresentation(R2, [0, 0], [[R2.one(), o2, x], [o2, o2, y]]), {1}),
+    ]
+    for pres, zero_columns in cases:
+        with_zeros = free_resolution(pres)
+        without = free_resolution(_without_columns(pres, zero_columns))
+        assert with_zeros.degrees == without.degrees
+        assert [[[str(e) for e in row] for row in mat] for mat in with_zeros.matrices] == [
+            [[str(e) for e in row] for row in mat] for mat in without.matrices
+        ]
+
+
+# three-variable potentials whose Jacobian bases are compared with sympy's
+SYMPY_POTENTIALS = [
+    "x^3 + y^3 + z^3",
+    "x^2*y + y^4 + z^2",
+    "x^2*y + y^3 + z^2",
+    "x^3 + x*y^3 + z^2",
+    "x^2 + y^3 + z^5",
+    "x^3*y + y^3*z + z^3*x",
+    "x^6 + y^6 + z^6 - 3*x^2*y^2*z^2",
+    "x^3 + y^3 + z^3 + 2*x*y*z",
+    "x^4 + y^4 + z^4 - x^2*y*z",
+]
+
+
+@pytest.mark.parametrize("potential", SYMPY_POTENTIALS)
+def test_jacobian_basis_matches_sympy(potential):
+    sympy = pytest.importorskip("sympy")
+    from mflef.document import parse_polynomial
+    from mflef.polyring import partial_derivative
+
+    R3 = PolyRing(("x", "y", "z"))
+    w = parse_polynomial(potential, R3)
+    jac = [partial_derivative(w, i) for i in range(3)]
+    ours = {str(g.to_poly()).replace("^", "**") for g in buchberger(jac).generators}
+    x, y, z = sympy.symbols("x y z")
+    jac_sympy = [sympy.sympify(str(f).replace("^", "**")) for f in jac]
+    theirs = sympy.groebner(jac_sympy, x, y, z, order="grevlex", domain="QQ")
+    assert {sympy.expand(sympy.sympify(g)) for g in ours} == {
+        sympy.expand(g) for g in theirs.exprs
+    }
