@@ -161,6 +161,8 @@ def _parse_power(tokens, ring):
     if negative:
         if not base.is_constant():
             raise DocumentError("negative powers need a scalar base", tokens.line)
+        if base.is_zero():
+            raise DocumentError("negative powers need a nonzero scalar base", tokens.line)
         return ring.const(base.constant_term().inverse() ** exponent)
     return base**exponent
 
@@ -203,6 +205,8 @@ def parse_symmetry_literal(text: str, nvars: int, line=None):
         tokens.expect("(")
         order = tokens.expect("num")[1]
         tokens.expect(")")
+        if order < 1:
+            raise DocumentError("zeta needs a positive order", line)
         tokens.expect("^")
         tokens.expect("[")
         exponents = []

@@ -1,23 +1,30 @@
 """Exact arithmetic in the rationals and in cyclotomic fields Q(zeta_m).
 
 A :class:`Scalar` is a canonical representative in Q[x]/(Phi_m) for the m-th
-cyclotomic polynomial Phi_m, stored as coordinates in the power basis
-1, zeta, ..., zeta^(phi(m)-1).  Order m = 1 is the rational field.  Arithmetic
-between two scalars first embeds both into Q(zeta_L) with L = lcm of the two
-orders; results keep order L (no automatic descent, see :meth:`Scalar.descend`).
+cyclotomic polynomial Phi_m, in the power basis 1, zeta, ..., zeta^(phi(m)-1).
+As in FLINT's ``fmpq_poly``, it is stored as integer numerators over one
+common denominator: ``num`` holds phi(m) ints and ``den`` is a positive int
+with gcd(den, *num) = 1, zero being (0, ..., 0)/1.  This form is unique, so
+equality within one order compares tuples.  Phi_m is monic and integral, so
+all arithmetic runs on Python ints; the Fraction coordinates ``coeffs`` are
+derived on request.  Order m = 1 is the rational field.  Arithmetic between
+two scalars first embeds both into Q(zeta_L) with L = lcm of the two orders;
+results keep order L (no automatic descent, see :meth:`Scalar.descend`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, sub
 
 
 class NonIntegralError(ValueError):
     """Raised when a (1 - zeta_p)-adic valuation is asked of a non-integer."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("order must be positive")
@@ -77,82 +84,150 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
+def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     # _reduction_rows(m)[k] = coordinates of zeta^(phi(m)+k) in the power basis.
     phi = euler_phi(m)
-    head = cyclotomic_polynomial(m)[:phi]
-    rows: list[tuple[Fraction, ...]] = []
-    prev = tuple(Fraction(-c) for c in head)  # zeta^phi
-    rows.append(prev)
+    first = tuple(-c for c in cyclotomic_polynomial(m)[:phi])  # zeta^phi
+    rows = [first]
     # Exponents reach m-1 after reduction mod zeta^m = 1 and 2*phi-2 in products.
     for _ in range(max(m - 1, 2 * phi - 2) - phi):
-        shifted = (Fraction(0),) + prev[: phi - 1]
-        top = prev[phi - 1]
-        prev = tuple(shifted[i] + top * rows[0][i] for i in range(phi))
-        rows.append(prev)
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple((prev[i - 1] if i else 0) + top * first[i] for i in range(phi)))
     return tuple(rows)
 
 
-def _reduce_coeffs(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    # Reduce an exponent-indexed vector (powers of zeta_m) modulo Phi_m.
+def _reduce(coeffs, m: int) -> list[int]:
+    # Reduce an exponent-indexed int vector (powers of zeta_m) modulo Phi_m.
     phi = euler_phi(m)
-    out = [Fraction(0)] * phi
-    rows = None
+    out = [0] * phi
+    rows = _reduction_rows(m)
     for k, c in enumerate(coeffs):
         if not c:
             continue
-        k %= m  # zeta^m = 1
+        if k >= phi:
+            k %= m  # zeta^m = 1
         if k < phi:
             out[k] += c
         else:
-            if rows is None:
-                rows = _reduction_rows(m)
-            row = rows[k - phi]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return tuple(out)
+            for i, r in enumerate(rows[k - phi]):
+                out[i] += c * r
+    return out
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+def _mul_ints(a, b, m: int) -> list[int]:
+    # Product of two numerator vectors of Q(zeta_m), reduced modulo Phi_m.
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return _reduce(prod, m)
+
+
+def _power_map(num, j: int, n: int) -> list[int]:
+    # Numerators of sum_i num[i] * zeta_n^(i*j), reduced in Q(zeta_n).
+    out = [0] * n
+    for i, c in enumerate(num):
+        if c:
+            out[i * j % n] += c
+    return _reduce(out, n)
+
+
+def _embed(num, m: int, L: int):
+    # Numerators of an element of Q(zeta_m) in the power basis of Q(zeta_L), m | L.
+    if m == L:
+        return num
+    if m == 1:
+        return num + (0,) * (euler_phi(L) - 1)
+    return _power_map(num, L // m, L)
+
+
+def _norm_cofactor(num, m: int):
+    # For numerators A of order m with phi(m) > 1: the product P of the
+    # conjugates sigma_j(A), 1 < j < m, and the integer norm N(A) = A * P.
+    conjugates = (_power_map(num, j, m) for j in range(2, m) if math.gcd(j, m) == 1)
+    cofactor = reduce(lambda p, q: _mul_ints(p, q, m), conjugates)
+    return cofactor, _mul_ints(num, cofactor, m)[0]
+
+
+def _integer_form(values) -> tuple[list[int], int]:
+    # Exact rationals as integer numerators over their least common denominator.
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"cannot interpret {v!r} as a rational")
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _scalar(order: int, num, den: int = 1) -> Scalar:
+    # The Scalar num/den of Q(zeta_order) in lowest terms; den must be positive.
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    s = _new(Scalar)
+    _set_order(s, order)
+    _set_num(s, tuple(num))
+    _set_den(s, den)
+    return s
+
+
+def _rational(q) -> Scalar:
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"cannot interpret {q!r} as a rational")
+    return _scalar(1, (q.numerator,), q.denominator)
+
+
+def _sum(a: Scalar, b: Scalar, op) -> Scalar:
+    # a + b or a - b, for op = operator.add or operator.sub.
+    m, an, ad, bn, bd = a.order, a.num, a.den, b.num, b.den
+    if m != b.order:
+        L = math.lcm(m, b.order)
+        an, bn, m = _embed(an, m, L), _embed(bn, b.order, L), L
+    if ad == bd:
+        return _scalar(m, tuple(map(op, an, bn)), ad)
+    return _scalar(m, [op(x * bd, y * ad) for x, y in zip(an, bn)], ad * bd)
 
 
 class Scalar:
-    """An exact element of Q(zeta_m), immutable."""
+    """An exact element of Q(zeta_m), immutable: numerators `num` over `den`."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
     __hash__ = None  # equality crosses orders; scalars are not dict keys
 
     def __init__(self, order: int, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        # Over the lcm of reduced denominators the form is already lowest terms.
+        num, den = _integer_form(coeffs)
+        _set_order(self, order)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, *args):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> Scalar:
-        return Scalar(1, (_as_fraction(q),))
+        return _rational(q)
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> Scalar:
         """The root of unity zeta_m^k."""
         if m < 1:
             raise ValueError("order must be positive")
-        k %= m
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return Scalar(m, _reduce_coeffs(coeffs, m))
+        return _zeta(m, k % m)
 
     @staticmethod
     def zero() -> Scalar:
@@ -165,19 +240,19 @@ class Scalar:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
         """All power-basis coordinates integral (valid test for prime order)."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def promote(self, target_order: int) -> Scalar:
         """Embed into Q(zeta_L) for a multiple L of the current order."""
@@ -186,11 +261,7 @@ class Scalar:
             return self
         if L % m:
             raise ValueError("target order must be a multiple of the current order")
-        step = L // m
-        out = [Fraction(0)] * (euler_phi(m) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return Scalar(L, _reduce_coeffs(out, L))
+        return _scalar(L, _embed(self.num, m, L), self.den)
 
     def descend(self) -> Scalar:
         """Equal scalar of the smallest possible cyclotomic order.
@@ -198,7 +269,7 @@ class Scalar:
         This is the explicit normalization pass; arithmetic never descends.
         """
         if self.is_rational():
-            return Scalar(1, (self.coeffs[0],))
+            return _scalar(1, self.num[:1], self.den)
         m = self.order
         for d in range(2, m):
             if m % d:
@@ -214,71 +285,66 @@ class Scalar:
         if isinstance(other, Scalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar(1, (_as_fraction(other),))
+            return _rational(other)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == other.order:
-            return Scalar(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        L = math.lcm(self.order, other.order)
-        a, b = self.promote(L), other.promote(L)
-        return Scalar(L, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _sum(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.order, tuple(-c for c in self.coeffs))
+        return _scalar(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, sub)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Scalar(1, (self.coeffs[0] * other.coeffs[0],))
-        L = math.lcm(self.order, other.order)
-        a, b = self.promote(L).coeffs, other.promote(L).coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-        return Scalar(L, _reduce_coeffs(prod, L))
+        m, n, an, bn = self.order, other.order, self.num, other.num
+        den = self.den * other.den
+        # A rational factor scales the numerators: no embedding, no convolution.
+        if n == 1:
+            c = bn[0]
+            return _scalar(m, [x * c for x in an], den)
+        if m == 1:
+            c = an[0]
+            return _scalar(n, [y * c for y in bn], den)
+        if m != n:
+            L = math.lcm(m, n)
+            an, bn, m = _embed(an, m, L), _embed(bn, n, L), L
+        return _scalar(m, _mul_ints(an, bn, m), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
         if self.is_zero():
             raise ZeroDivisionError("scalar is zero")
-        if self.order == 1:
-            return Scalar(1, (1 / self.coeffs[0],))
-        # Extended Euclid in Q[x] against Phi_m.
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi_poly, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        lead = next(c for c in reversed(r0) if c)
-        inv = [c / lead for c in s0]
-        return Scalar(self.order, _reduce_coeffs(inv, self.order))
+        # a = A/den.  With P = 1 for a rational value, and otherwise P = the
+        # product of the other Galois conjugates of A, A*P is an integer N
+        # and 1/a = den*P/N.
+        m, num, den = self.order, self.num, self.den
+        if any(num[1:]):
+            cofactor, norm = _norm_cofactor(num, m)
+        else:
+            cofactor, norm = (1,) + (0,) * (len(num) - 1), num[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _scalar(m, [den * c for c in cofactor], norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -309,17 +375,19 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        L = math.lcm(self.order, other.order)
-        return self.promote(L).coeffs == other.promote(L).coeffs
+        m, n = self.order, other.order
+        if m == n:
+            return self.num == other.num and self.den == other.den
+        L = math.lcm(m, n)
+        a, b = _embed(self.num, m, L), _embed(other.num, n, L)
+        return [x * other.den for x in a] == [y * self.den for y in b]
 
     def __ne__(self, other):
         result = self.__eq__(other)
         return NotImplemented if result is NotImplemented else not result
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     # -- Galois theory -----------------------------------------------------
 
@@ -328,31 +396,24 @@ class Scalar:
         m = self.order
         if math.gcd(j % m, m) != 1:
             raise ValueError("automorphism exponent must be coprime to the order")
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * j) % m] += c
-        return Scalar(m, _reduce_coeffs(out, m))
+        return _scalar(m, _power_map(self.num, j, m), self.den)
 
     def conjugate(self) -> Scalar:
         return self.galois(self.order - 1) if self.order > 1 else self
 
     def norm_to_rational(self) -> Fraction:
         """Product over all Galois conjugates; a rational number."""
-        if self.order == 1:
-            return self.coeffs[0]
-        result = _ONE
-        m = self.order
-        for j in range(1, m):
-            if math.gcd(j, m) == 1:
-                result = result * self.galois(j)
-        return result.to_rational()
+        num, den = self.num, self.den
+        if len(num) == 1:
+            return Fraction(num[0], den)
+        _, norm = _norm_cofactor(num, self.order)
+        return Fraction(norm, den ** len(num))
 
     def __complex__(self):
         z = complex(math.cos(2 * math.pi / self.order), math.sin(2 * math.pi / self.order))
         value, power = 0j, 1 + 0j
-        for c in self.coeffs:
-            value += float(c) * power
+        for c in self.num:
+            value += c / self.den * power
             power *= z
         return value
 
@@ -385,21 +446,17 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+_new = object.__new__
+_set_order = Scalar.order.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
 
 
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+@lru_cache(maxsize=None)
+def _zeta(m: int, k: int) -> Scalar:
+    out = [0] * (k + 1)
+    out[k] = 1
+    return _scalar(m, _reduce(out, m))
 
 
 def _try_descend(a: Scalar, d: int) -> Scalar | None:
@@ -408,16 +465,16 @@ def _try_descend(a: Scalar, d: int) -> Scalar | None:
 
     m = a.order
     phi_d, phi_m = euler_phi(d), euler_phi(m)
-    basis = [Scalar.zeta(d, i).promote(m).coeffs for i in range(phi_d)]
-    rows = [[Scalar(1, (basis[j][i],)) for j in range(phi_d)] for i in range(phi_m)]
-    coords = solve(rows, [Scalar(1, (c,)) for c in a.coeffs])
+    basis = [Scalar.zeta(d, i).promote(m).num for i in range(phi_d)]
+    rows = [[_scalar(1, (basis[j][i],)) for j in range(phi_d)] for i in range(phi_m)]
+    coords = solve(rows, [_scalar(1, (c,), a.den) for c in a.num])
     if coords is None:
         return None  # inconsistent: not in the subfield
     return Scalar(d, tuple(c.to_rational() for c in coords))
 
 
-_ZERO = Scalar(1, (Fraction(0),))
-_ONE = Scalar(1, (Fraction(1),))
+_ZERO = _scalar(1, (0,))
+_ONE = _scalar(1, (1,))
 
 
 def as_scalar(value) -> Scalar:
@@ -426,7 +483,7 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, RootOfUnity):
         return value.to_scalar()
     if isinstance(value, (int, Fraction)):
-        return Scalar(1, (_as_fraction(value),))
+        return _rational(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
@@ -434,8 +491,8 @@ def cyclo_reduce(coefficients, m: int) -> Scalar:
     """Canonical Scalar from an exponent-indexed coefficient sequence in zeta_m."""
     if m < 1:
         raise ValueError("order must be positive")
-    coeffs = [_as_fraction(c) for c in coefficients]
-    return Scalar(m, _reduce_coeffs(coeffs, m))
+    num, den = _integer_form(list(coefficients))
+    return _scalar(m, _reduce(num, m), den)
 
 
 def conjugate(a: Scalar) -> Scalar:

@@ -292,3 +292,37 @@ def test_bad_number_in_list_is_input_error(text, argv, message, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [message]
     assert "Traceback" not in proc.stderr
+
+
+ZERO_NEGATIVE_POWER = """
+[potential]
+name = w
+expr = x^3 + 0^-1
+"""
+
+ZETA_ZERO_ROOTS = """
+[potential]
+name = w
+expr = x^3
+
+[symmetry]
+name = t
+potential = w
+roots = zeta(0)^[1]
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (ZERO_NEGATIVE_POWER, "error: line 4: negative powers need a nonzero scalar base"),
+    (ZETA_ZERO_ROOTS, "error: line 9: zeta needs a positive order"),
+], ids=["zero-negative-power", "zeta-zero-roots"])
+def test_degenerate_scalar_literal_is_input_error(text, message, tmp_path):
+    doc = tmp_path / "bad.mflef"
+    doc.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflef.cli", "milnor", "w", "-i", str(doc)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [message]
+    assert "Traceback" not in proc.stderr

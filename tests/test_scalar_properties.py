@@ -1,0 +1,79 @@
+"""Property tests of the scalar layer over mixed cyclotomic orders."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from mflef.scalars import Scalar, cyclo_reduce, cyclotomic_polynomial, euler_phi  # noqa: E402
+
+ORDERS = (1, 2, 3, 4, 5, 6, 7, 12)
+SETTINGS = settings(max_examples=30, deadline=None)
+coordinates = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def scalars(draw):
+    m = draw(st.sampled_from(ORDERS))
+    phi = euler_phi(m)
+    return Scalar(m, draw(st.lists(coordinates, min_size=phi, max_size=phi)))
+
+
+def _close(z, w):
+    # Float oracle only: exact results are compared against complex embeddings.
+    return abs(z - w) <= 1e-9 * (1 + abs(z) + abs(w))
+
+
+@SETTINGS
+@given(scalars(), scalars(), scalars())
+def test_ring_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a - b == a + (-b)
+
+
+@SETTINGS
+@given(scalars())
+def test_inverse(a):
+    assume(not a.is_zero())
+    assert a * a.inverse() == 1
+    assert a.inverse().inverse() == a
+
+
+@SETTINGS
+@given(scalars(), st.sampled_from((1, 2, 3, 4)))
+def test_promote_and_descend_keep_the_value(a, step):
+    assert a == a.promote(a.order * step)
+    assert a.promote(a.order * step).descend() == a
+    assert a.descend() == a
+    assert a.descend().order <= a.order
+
+
+@SETTINGS
+@given(scalars(), scalars())
+def test_canonical_form(a, b):
+    L = math.lcm(a.order, b.order)
+    assert str((a + b) - b) == str(a.promote(L))
+    assert str(b * a) == str(a * b)
+    if not b.is_zero():
+        assert str((a * b) / b) == str(a.promote(L))
+    # The same element from an unreduced exponent-indexed vector: zeta^m = 1
+    # and Phi_m(zeta) = 0 both fold back into the power basis.
+    unreduced = [0] * a.order + list(a.coeffs)
+    for k, c in enumerate(cyclotomic_polynomial(a.order)):
+        unreduced[k] += c
+    assert str(cyclo_reduce(unreduced, a.order)) == str(a)
+
+
+@SETTINGS
+@given(scalars(), scalars())
+def test_matches_complex_embedding(a, b):
+    assert _close(complex(a * b), complex(a) * complex(b))
+    assert _close(complex(a + b), complex(a) + complex(b))
+    assert _close(complex(a - b), complex(a) - complex(b))

@@ -1,9 +1,11 @@
+import fractions
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from mflef import linalg
 from mflef.scalars import (
     NonIntegralError,
     RootOfUnity,
@@ -185,3 +187,38 @@ def test_str_roundtrip_shapes():
     assert str(1 - zeta(3, 2)) == "2 + zeta(3)"
     assert str(zeta(4) - 1) == "-1 + zeta(4)"
     assert str(Scalar.from_rational(Fraction(-3, 2))) == "-3/2"
+
+
+def test_arithmetic_makes_no_fraction(monkeypatch):
+    # Scalars are integer numerators over one denominator: the arithmetic
+    # behind every verdict never constructs a Fraction.
+    a = zeta(5) + Fraction(1, 2)
+    b = 2 * zeta(5, 3) - Fraction(1, 3)
+    c = zeta(3) - 3
+    half = Scalar.from_rational(Fraction(1, 2))
+    matrix = [[zeta(5, i * j) + i for j in range(3)] for i in range(3)]
+    made = []
+    original = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    operations = {
+        "same-order *": lambda: a * b,
+        "mixed-order *": lambda: a * c,
+        "same-order +": lambda: a + b,
+        "mixed-order +": lambda: a + c,
+        "same-order -": lambda: a - b,
+        "mixed-order -": lambda: c - a,
+        "unary -": lambda: -a,
+        "inverse": lambda: b.inverse(),
+        "rational times cyclotomic": lambda: half * a,
+        "rank over Q(zeta_5)": lambda: linalg.rank(matrix),
+    }
+    for name, operation in operations.items():
+        made.clear()
+        operation()
+        assert made == [], name
+    assert linalg.rank(matrix) == 3  # Vandermonde in 1, zeta_5, zeta_5^2
