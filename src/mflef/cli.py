@@ -20,8 +20,9 @@ Commands and their positional arguments:
 
 A verification command may also be given a single case name declared in the
 document with the same command.  Exit status: 0 when every report passes,
-1 when an identity fails, 2 on input errors.  Text output carries no timing
-and is byte-identical across runs; --json output includes microsecond timings.
+1 when an identity fails, 2 on input errors, 3 when an internal check fails.
+Text output carries no timing and is byte-identical across runs; --json
+output includes microsecond timings.
 """
 
 from __future__ import annotations
@@ -352,6 +353,11 @@ def main(argv=None) -> int:
     except (DocumentError, InputError, NonIsolatedError, NotInModuleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        # a broken internal invariant (an engine disagreement included) is
+        # neither a verdict nor an input error
+        print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
 
     for line in lines:
         print(line)

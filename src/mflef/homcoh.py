@@ -413,9 +413,7 @@ def graded_cohomology_dimensions(a, b):
     weights, shift = _weights_and_shift(a, b)
     dims = [0, 0]
     for parity, piece, m_out, m_in in _strands(a, b, weights, shift):
-        kernel_dim = len(linalg.nullspace(m_out)) if m_out else len(piece.elements)
-        image_rank = linalg.rank(m_in) if m_in and m_in[0] else 0
-        dims[parity] += kernel_dim - image_rank
+        dims[parity] += len(piece.elements) - linalg.rank(m_out) - linalg.rank(m_in)
     return tuple(dims)
 
 
@@ -491,58 +489,35 @@ def _twist_matrix(a, b, piece: GradedHomPiece, scales, alpha, beta, ring):
 
 
 def _subquotient_trace(m_out, m_in, t_mat):
-    """Trace of t_mat on ker(m_out)/im(m_in); t_mat must preserve both."""
+    """Trace of t_mat on ker(m_out)/im(m_in); t_mat must preserve both.
+
+    The nullspace basis vector of a free column of m_out is 1 there and 0 on
+    the other free columns.  So a kernel vector u equals the sum of u[f] times
+    the basis vector of f over the free columns f: the difference lies in the
+    kernel and vanishes on every free column, and the reduced rows of m_out
+    then force its pivot entries to 0 too.  Kernel coordinates are thus read
+    off the free columns, with no solve.  In those coordinates Z is the twist
+    and the image is spanned by reduced rows S_i with pivot columns Q_i; an
+    image vector x equals the sum of x[Q_i] S_i, so the trace on the image is
+    the sum of (Z S_i)[Q_i].
+    """
     n = len(t_mat)
-    if n == 0:
+    kernel = linalg.nullspace(m_out) if m_out else linalg.identity(n)
+    if not kernel:
         return Scalar.zero()
-    kernel = linalg.nullspace(m_out) if m_out else [
-        [Scalar.one() if i == j else Scalar.zero() for i in range(n)] for j in range(n)
-    ]
-    k = len(kernel)
-    if k == 0:
-        return Scalar.zero()
-    K = [[kernel[j][i] for j in range(k)] for i in range(n)]  # n x k
-    # T restricted to the kernel, in kernel coordinates
-    TK = []
-    for j in range(k):
-        tv = linalg.mat_vec(t_mat, [kernel[j][i] for i in range(n)])
-        coords = linalg.solve(K, tv)
-        if coords is None:
-            raise AssertionError("twist does not preserve the kernel")
-        TK.append(coords)
-    Z = [[TK[j][i] for j in range(k)] for i in range(k)]  # k x k, columns = images
-    trace_total = Scalar.zero()
-    for i in range(k):
-        trace_total = trace_total + Z[i][i]
-    # image inside kernel coordinates
-    image_cols = []
-    ncols_in = len(m_in[0]) if m_in and m_in[0] else 0
-    for j in range(ncols_in):
-        col = [m_in[i][j] for i in range(n)]
-        coords = linalg.solve(K, col)
-        if coords is None:
-            raise AssertionError("image does not lie in the kernel")
-        image_cols.append(coords)
-    if not image_cols:
-        return trace_total
-    W = [[image_cols[j][i] for j in range(len(image_cols))] for i in range(k)]
-    basis_vecs = _column_space_basis(W)
-    if not basis_vecs:
-        return trace_total
-    E = [[basis_vecs[j][i] for j in range(len(basis_vecs))] for i in range(k)]
-    trace_w = Scalar.zero()
-    for j in range(len(basis_vecs)):
-        zv = linalg.mat_vec(Z, basis_vecs[j])
-        coords = linalg.solve(E, zv)
-        if coords is None:
-            raise AssertionError("twist does not preserve the image")
-        trace_w = trace_w + coords[j]
-    return trace_total - trace_w
-
-
-def _column_space_basis(mat):
-    """The leftmost maximal independent set of columns of mat."""
-    if not mat or not mat[0]:
-        return []
-    pivots = linalg._echelon([row[:] for row in mat], len(mat[0]))
-    return [[row[j] for row in mat] for j in pivots]
+    free = [max(i for i, c in enumerate(v) if not c.is_zero()) for v in kernel]
+    tk = linalg.mat_mul(t_mat, [list(col) for col in zip(*kernel)])  # column j = T v_j
+    if any(not e.is_zero() for row in linalg.mat_mul(m_out, tk) for e in row):
+        raise AssertionError("twist does not preserve the kernel")
+    z = [tk[f] for f in free]  # the twist in kernel coordinates
+    trace = sum((z[i][i] for i in range(len(free))), Scalar.zero())
+    if not (m_in and m_in[0]):
+        return trace
+    if any(not e.is_zero() for row in linalg.mat_mul(m_out, m_in) for e in row):
+        raise AssertionError("image does not lie in the kernel")
+    s_rows, q_cols = linalg.echelon_form([[m_in[f][j] for f in free] for j in range(len(m_in[0]))])
+    zs = linalg.mat_mul(s_rows, [list(col) for col in zip(*z)])  # row i = Z S_i
+    coords = [[v[q] for q in q_cols] for v in zs]
+    if linalg.mat_mul(coords, s_rows) != zs:
+        raise AssertionError("twist does not preserve the image")
+    return trace - sum((coords[i][i] for i in range(len(coords))), Scalar.zero())

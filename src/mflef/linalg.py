@@ -1,4 +1,10 @@
-"""Dense exact linear algebra over Scalar (used by the graded solvers)."""
+"""Exact linear algebra over Q(zeta_m) on dense lists of Scalars.
+
+One reduced-echelon elimination, `_echelon`, serves `rank`, `solve`,
+`nullspace`, `invert`, `det` and `echelon_form`.  Its callers are the graded
+engine's strand traces, the stabilization homotopy solves, `find_weights`,
+`MFMorphism.inverse` and `Scalar.descend`.
+"""
 
 from __future__ import annotations
 
@@ -36,67 +42,73 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: list) -> list:
-    return [sum_scalars(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
+def _echelon(mat: Matrix):
+    """Row-reduce mat in place to reduced echelon form.
 
-
-def sum_scalars(items) -> Scalar:
-    total = Scalar.zero()
-    for item in items:
-        total = total + item
-    return total
-
-
-def _echelon(mat: Matrix, ncols: int):
-    """In-place row reduction to reduced echelon form; returns pivot columns."""
+    Returns (pivot columns, factor).  The factor is the product of the pivots,
+    negated once per row swap, so for a square matrix of full rank it is the
+    determinant.  A row update touches only the nonzero entries of the pivot row.
+    """
     pivots = []
+    factor = Scalar.one()
     r = 0
-    for col in range(ncols):
+    for col in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [c * inv for c in mat[r]]
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            factor = -factor
+        row = mat[r]
+        factor = factor * row[col]
+        inv = row[col].inverse()
+        # entries left of col are zero: earlier columns are pivots or all zero below r
+        support = [j for j in range(col, len(row)) if not row[j].is_zero()]
+        for j in support:
+            row[j] = row[j] * inv
         for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [c - f * p for c, p in zip(mat[i], mat[r])]
+            other = mat[i]
+            f = other[col]
+            if i != r and not f.is_zero():
+                for j in support:
+                    other[j] = other[j] - f * row[j]
         pivots.append(col)
         r += 1
-    return pivots
+    return pivots, factor
+
+
+def echelon_form(a: Matrix):
+    """(rows, pivots): the nonzero rows of the reduced echelon form of A and
+    their pivot columns, leftmost first.  A is not changed."""
+    work = [row[:] for row in a]
+    pivots, _ = _echelon(work)
+    return work[: len(pivots)], pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    work = [row[:] for row in a]
-    return len(_echelon(work, len(a[0])))
+    return len(echelon_form(a)[1])
 
 
 def solve(a: Matrix, b: list):
     """One solution x of A x = b, or None when inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [as_scalar(b[i])] for i in range(rows)]
-    pivots = _echelon(aug, cols)
-    for i in range(len(pivots), rows):
-        if not aug[i][cols].is_zero():
-            return None
+    cols = len(a[0]) if a else 0
+    reduced, pivots = echelon_form([row + [as_scalar(v)] for row, v in zip(a, b)])
+    if cols in pivots:
+        return None
     x = [Scalar.zero()] * cols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][cols]
+    for row, col in zip(reduced, pivots):
+        x[col] = row[cols]
     return x
 
 
 def nullspace(a: Matrix) -> list:
-    """Basis column vectors of ker(A), deterministic order."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
-    work = [row[:] for row in a]
-    pivots = _echelon(work, cols)
+    """Basis column vectors of ker(A), one per free column, in column order.
+
+    The basis vector of free column f is 1 at f and 0 at the other free
+    columns, and f is its last nonzero entry.
+    """
+    cols = len(a[0]) if a else 0
+    reduced, pivots = echelon_form(a)
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):
@@ -104,39 +116,21 @@ def nullspace(a: Matrix) -> list:
             continue
         vec = [Scalar.zero()] * cols
         vec[free] = Scalar.one()
-        for i, col in enumerate(pivots):
-            vec[col] = -work[i][free]
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
         basis.append(vec)
     return basis
 
 
 def invert(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    pivots = _echelon(aug, n)
-    if len(pivots) != n:
+    reduced, pivots = echelon_form([row + e for row, e in zip(a, identity(n))])
+    if pivots != list(range(n)):
         raise ArithmeticError("matrix is singular")
-    return [row[n:] for row in aug]
+    return [row[n:] for row in reduced]
 
 
 def det(a: Matrix) -> Scalar:
     n = len(a)
-    if n == 0:
-        return Scalar.one()
-    work = [row[:] for row in a]
-    result = Scalar.one()
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
-        if pivot is None:
-            return Scalar.zero()
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            result = -result
-        result = result * work[col][col]
-        inv = work[col][col].inverse()
-        for i in range(col + 1, n):
-            if not work[i][col].is_zero():
-                f = work[i][col] * inv
-                work[i] = [c - f * p for c, p in zip(work[i], work[col])]
-    return result
-
+    pivots, factor = _echelon([row[:] for row in a])
+    return factor if len(pivots) == n else Scalar.zero()

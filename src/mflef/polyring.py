@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import _echelon
+from .linalg import echelon_form
 from .scalars import RootOfUnity, Scalar, as_scalar
 
 Monomial = tuple  # tuple[int, ...]
@@ -29,6 +29,9 @@ class PolyRing:
 
     def __setattr__(self, *args):
         raise AttributeError("PolyRing is immutable")
+
+    def __reduce__(self):
+        return PolyRing, (self.vars,)
 
     @property
     def nvars(self) -> int:
@@ -132,6 +135,9 @@ class Polynomial:
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.ring, self.terms)
 
     # -- queries -----------------------------------------------------------
 
@@ -481,8 +487,8 @@ def find_weights(w: Polynomial):
         [Scalar.from_rational(e) for e in m] + [Scalar.one()]
         for m in sorted(w.terms, key=degrevlex_key)
     ]
-    pivots = _echelon(rows, n)
-    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+    rows, pivots = echelon_form(rows)
+    if n in pivots:
         return None  # inconsistent: not quasi-homogeneous
     weights = [Fraction(1, 2)] * n
     for row, col in zip(rows, pivots):

@@ -210,6 +210,9 @@ class Scalar:
     def __setattr__(self, *args):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return _scalar, (self.order, self.num, self.den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Power-basis coordinates as Fractions."""
@@ -542,6 +545,9 @@ class RootOfUnity:
 
     def __setattr__(self, *args):
         raise AttributeError("RootOfUnity is immutable")
+
+    def __reduce__(self):
+        return RootOfUnity, (self.order, self.exponent)
 
     def to_scalar(self) -> Scalar:
         return Scalar.zeta(self.order, self.exponent)

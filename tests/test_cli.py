@@ -326,3 +326,17 @@ def test_degenerate_scalar_literal_is_input_error(text, message, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [message]
     assert "Traceback" not in proc.stderr
+
+
+def test_internal_check_failure_exits_three(monkeypatch, capsys):
+    # a broken invariant inside an engine is neither a verdict (1) nor an
+    # input error (2): one `error: internal:` line and exit 3, no traceback
+    def broken(m_out, m_in, t_mat):
+        raise AssertionError("twist does not preserve the kernel")
+
+    monkeypatch.setattr("mflef.homcoh._subquotient_trace", broken)
+    code = _run(["corpus", "-i", str(FIXTURES / "a2.mflef"), "--engine", "graded"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines() == ["error: internal: twist does not preserve the kernel"]
+    assert "Traceback" not in captured.err

@@ -283,3 +283,31 @@ def test_graded_functions_validate_alike(case, message):
         graded_cohomology_dimensions(a, b)
     with pytest.raises(ValueError, match=message):
         graded_euler_supertrace(a, b, [RootOfUnity(1, 0)], ident, ident)
+
+
+def _q(rows):
+    return [[Scalar.from_rational(c) for c in row] for row in rows]
+
+
+# On Q^3 with m_out = [0 0 1] and m_in = e0 the kernel is span(e0, e1) and the
+# image span(e0), so the subquotient is spanned by the class of e1.
+M_OUT = _q([[0, 0, 1]])
+M_IN = _q([[1], [0], [0]])
+
+
+@pytest.mark.parametrize("twist", [
+    [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+    [[2, 7, 11], [0, 3, 13], [0, 0, 5]],
+], ids=["diagonal", "upper-triangular"])
+def test_subquotient_trace_reads_the_quotient(twist):
+    assert mflef.homcoh._subquotient_trace(M_OUT, M_IN, _q(twist)) == 3
+
+
+@pytest.mark.parametrize("m_in, twist, message", [
+    (M_IN, [[2, 0, 0], [0, 3, 0], [0, 1, 5]], "twist does not preserve the kernel"),
+    (_q([[0], [0], [1]]), [[2, 0, 0], [0, 3, 0], [0, 0, 5]], "image does not lie in the kernel"),
+    (M_IN, [[2, 0, 0], [1, 3, 0], [0, 0, 5]], "twist does not preserve the image"),
+], ids=["kernel", "image-in-kernel", "image"])
+def test_subquotient_trace_checks_its_invariants(m_in, twist, message):
+    with pytest.raises(AssertionError, match=message):
+        mflef.homcoh._subquotient_trace(M_OUT, m_in, _q(twist))

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 
 from mflef.scalars import RootOfUnity, Scalar
@@ -240,6 +244,40 @@ def test_stabilize_residue_field_quadric():
     assert alpha.is_closed()
     assert equivariance_power_check([RootOfUnity(2, 1)] * 2, alpha, 2)
     assert supertrace_at_origin(alpha) == 4
+
+
+def test_stabilize_residue_field_quartic_four_variables():
+    # the resolution of k is linear: each generator of homological degree i
+    # sits at internal degree i and adds (-1)^i (-1)^i = +1, so 2^4 in all
+    R4 = PolyRing(("x", "y", "z", "u"))
+    gens = [R4.var(v) for v in R4.vars]
+    w = gens[0] ** 4 + gens[1] ** 4 + gens[2] ** 4 + gens[3] ** 4
+    mf, alpha = stabilize_module(GradedModulePresentation(R4, [0], [gens]), w)
+    assert (mf.r0, mf.r1) == (8, 8)
+    validate_mf(mf)
+    assert alpha.is_closed()
+    assert equivariance_power_check([RootOfUnity(2, 1)] * 4, alpha, 2)
+    assert supertrace_at_origin(alpha) == 16
+
+
+def _value_key(value):
+    # MatrixFactorization defines no equality; compare what it holds
+    if isinstance(value, MatrixFactorization):
+        return (value.ring, value.potential, value.r0, value.r1, value.d0, value.d1, value.gradings)
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    Scalar.zeta(5) + Scalar.from_rational(2) / 3,
+    RootOfUnity(6, 5),
+    R2,
+    R2.var("x") ** 3 - Scalar.zeta(3) * R2.var("y"),
+    koszul_mf([R2.var("x") ** 2, R2.var("y")], [R2.var("x"), R2.var("y") ** 2],
+              gradings=[Fraction(1, 3), Fraction(2, 3)]),
+], ids=["scalar", "root-of-unity", "ring", "polynomial", "koszul-mf"])
+def test_frozen_values_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert _value_key(twin) == _value_key(value)
 
 
 def test_stabilize_rejects_non_annihilated():
