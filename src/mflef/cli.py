@@ -363,9 +363,13 @@ def main(argv=None) -> int:
         print(line)
     if opts.json_out:
         payload = {"schema_version": SCHEMA_VERSION, "reports": reports}
-        with open(opts.json_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(opts.json_out, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {opts.json_out}: {exc}", file=sys.stderr)
+            return 2
     return 0 if ok else 1
 
 

@@ -111,7 +111,7 @@ class CohomologyBasis:
     its remainder is (0, -v) with v the reduced coordinates of u.
     """
 
-    __slots__ = ("hom", "std", "_kernel_cols", "_gb")
+    __slots__ = ("hom", "std", "_kernel_cols", "_gb", "_reps")
 
     def __init__(self, hom: HomComplex):
         self.hom = hom
@@ -161,6 +161,7 @@ class CohomologyBasis:
         self.std = tuple(std)
         self._kernel_cols = tuple(kernels)
         self._gb = tuple(gbs)
+        self._reps = tuple([None] * len(keys) for keys in self.std)
 
     @property
     def dims(self):
@@ -173,12 +174,16 @@ class CohomologyBasis:
         return len(self.std[0]) + len(self.std[1])
 
     def representative(self, parity, index) -> MFMorphism:
-        comp, mono = self.std[parity][index]
-        column = [
-            self.hom.ring.monomial(mono) * entry
-            for entry in self._kernel_cols[parity][comp]
-        ]
-        return self.hom.unflatten(parity, column)
+        """The cocycle of a basis element; built once, then shared."""
+        rep = self._reps[parity][index]
+        if rep is None:
+            comp, mono = self.std[parity][index]
+            column = [
+                self.hom.ring.monomial(mono) * entry
+                for entry in self._kernel_cols[parity][comp]
+            ]
+            rep = self._reps[parity][index] = self.hom.unflatten(parity, column)
+        return rep
 
     def reduce(self, phi: MFMorphism):
         """Coordinates of a closed morphism's class in the chosen basis."""
@@ -363,21 +368,33 @@ def _strands(a, b, weights, s_deg):
     """Each nonempty piece C^P_d of the window with the matrices of its strand.
 
     Yields (P, piece, m_out, m_in) for the three-term strand
-    C^{1-P}_{d-s} -> C^P_d -> C^{1-P}_{d+s}, by increasing degree d.
+    C^{1-P}_{d-s} -> C^P_d -> C^{1-P}_{d+s}, by increasing degree d.  Each
+    piece is built once per call, and so is each matrix: the m_out of C^P_d
+    is the m_in of C^{1-P}_{d+s}.
     """
     ring = a.ring
     ga, gb = a.grading_list(), b.grading_list()
     pa, pb = a.parities(), b.parities()
+    pieces = {}
+    outs = {}  # (P, d) -> m_out of C^P_d, until it serves as an m_in
+
+    def piece(parity, degree):
+        key = (parity, degree)
+        if key not in pieces:
+            pieces[key] = _piece(a, b, weights, ga, gb, pa, pb, parity, degree)
+        return pieces[key]
+
     for d in _window_degrees(a, b, weights):
         for parity in (0, 1):
-            piece = _piece(a, b, weights, ga, gb, pa, pb, parity, d)
-            if not piece.elements:
+            middle = piece(parity, d)
+            if not middle.elements:
                 continue
-            piece_in = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d - s_deg)
-            piece_out = _piece(a, b, weights, ga, gb, pa, pb, 1 - parity, d + s_deg)
-            m_out = _d_matrix(a, b, piece, piece_out, parity, ring)
-            m_in = _d_matrix(a, b, piece_in, piece, 1 - parity, ring)
-            yield parity, piece, m_out, m_in
+            m_out = outs[(parity, d)] = _d_matrix(
+                a, b, middle, piece(1 - parity, d + s_deg), parity, ring)
+            m_in = outs.pop((1 - parity, d - s_deg), None)
+            if m_in is None:
+                m_in = _d_matrix(a, b, piece(1 - parity, d - s_deg), middle, 1 - parity, ring)
+            yield parity, middle, m_out, m_in
 
 
 def graded_euler_supertrace(a, b, t, alpha, beta):

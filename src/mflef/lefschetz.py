@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .homcoh import (
+    CohomologyBasis,
     cohomology,
     graded_euler_supertrace,
     hom_complex,
@@ -148,11 +149,33 @@ def rhs_hlf(a, b, t, alpha, beta) -> Scalar:
     return canonical_pairing(tau_a, tau_b)
 
 
+def pair_cohomology(a: MatrixFactorization, b: MatrixFactorization) -> CohomologyBasis:
+    """cohomology(hom_complex(a, b)), reused across requests for the same objects.
+
+    The basis depends on the pair alone, so a verifier that twists it by many
+    (t, alpha, beta) needs it once.  It is kept on a, keyed on id(b); the entry
+    holds b itself, so id(b) cannot be reused while the entry lives, and an
+    equal but distinct b gets its own entry.  A pair is admitted on its second
+    request: the first stores only a marker, so a pair used once keeps no
+    basis alive.  Under threads, the worst case is a duplicate computation.
+    """
+    entry = a._hom_memo.get(id(b))
+    if entry is not None and entry[1] is not None:
+        return entry[1]
+    basis = cohomology(hom_complex(a, b))
+    a._hom_memo[id(b)] = (b, None if entry is None else basis)
+    return basis
+
+
 def lhs_hlf(a, b, t, alpha, beta, engine: str = "groebner") -> Scalar:
-    """Supertrace of phi -> beta o t^*(phi) o alpha on H(Hom(A, B))."""
+    """Supertrace of phi -> beta o t^*(phi) o alpha on H(Hom(A, B)).
+
+    The Groebner engine reuses the cohomology basis of (a, b) across calls
+    on the same two objects (see pair_cohomology).
+    """
     t = _coerce_symmetry(t)
     if engine == "groebner":
-        basis = cohomology(hom_complex(a, b))
+        basis = pair_cohomology(a, b)
         mat = induced_endomorphism(t, alpha, beta, basis)
         return supertrace_on_cohomology(mat, basis.parities())
     if engine == "graded":

@@ -6,6 +6,11 @@ square matrix in the generator order (all even generators, then all odd).
 Morphisms are kept as full matrices with a declared parity; composition is
 then plain matrix multiplication and the Koszul sign bookkeeping lives only
 in the constructors that need it (koszul_mf, tensor_mf).
+
+Factorizations and morphisms are immutable, like Polynomial: matrices are
+tuples of tuples and attributes cannot be reassigned.  So what is derived
+from them (the full matrix, whether a morphism is closed) is computed once
+and kept, and the Hom cohomology of a pair can be reused by identity.
 """
 
 from __future__ import annotations
@@ -53,34 +58,57 @@ def _zeros(rows, cols, ring):
     return [[ring.zero() for _ in range(cols)] for _ in range(rows)]
 
 
-class MatrixFactorization:
-    """Z/2-graded free module with an odd operator squaring to w."""
+_set = object.__setattr__  # the one way to write a field of the frozen classes
 
-    __slots__ = ("ring", "potential", "r0", "r1", "d0", "d1", "gradings")
+
+def _frozen(matrix):
+    return tuple(map(tuple, matrix))
+
+
+class MatrixFactorization:
+    """Z/2-graded free module with an odd operator squaring to w.
+
+    `_full` caches full_matrix().  `_hom_memo` belongs to lefschetz.pair_cohomology:
+    it maps id(target) to (target, basis or None) for the pairs (self, target).
+    Neither is pickled or copied.
+    """
+
+    __slots__ = ("ring", "potential", "r0", "r1", "d0", "d1", "gradings", "_full", "_hom_memo")
 
     def __init__(self, potential: Polynomial, d0, d1, r0=None, r1=None,
                  gradings=None, check=True):
-        self.ring = potential.ring
-        self.potential = potential
         if r0 is None:
             r0 = len(d0[0]) if d0 else (len(d1) if d1 else 0)
         if r1 is None:
             r1 = len(d0) if d0 else (len(d1[0]) if d1 else 0)
-        self.r0, self.r1 = r0, r1
-        self.d0 = [list(row) for row in d0]
-        self.d1 = [list(row) for row in d1]
-        if len(self.d0) != r1 or any(len(row) != r0 for row in self.d0):
+        d0, d1 = _frozen(d0), _frozen(d1)
+        if len(d0) != r1 or any(len(row) != r0 for row in d0):
             raise MFValidationError("d0 must be an (odd rank) x (even rank) matrix")
-        if len(self.d1) != r0 or any(len(row) != r1 for row in self.d1):
+        if len(d1) != r0 or any(len(row) != r1 for row in d1):
             raise MFValidationError("d1 must be an (even rank) x (odd rank) matrix")
         if gradings is not None:
             even, odd = gradings
             gradings = (tuple(Fraction(g) for g in even), tuple(Fraction(g) for g in odd))
             if len(gradings[0]) != r0 or len(gradings[1]) != r1:
                 raise MFValidationError("grading lists must match the ranks")
-        self.gradings = gradings
+        _set(self, "ring", potential.ring)
+        _set(self, "potential", potential)
+        _set(self, "r0", r0)
+        _set(self, "r1", r1)
+        _set(self, "d0", d0)
+        _set(self, "d1", d1)
+        _set(self, "gradings", gradings)
+        _set(self, "_full", None)
+        _set(self, "_hom_memo", {})
         if check:
             validate_mf(self)
+
+    def __setattr__(self, *args):
+        raise AttributeError("MatrixFactorization is immutable")
+
+    def __reduce__(self):
+        return MatrixFactorization, (self.potential, self.d0, self.d1, self.r0, self.r1,
+                                     self.gradings, False)
 
     @property
     def total_rank(self):
@@ -95,16 +123,18 @@ class MatrixFactorization:
         return list(self.gradings[0]) + list(self.gradings[1])
 
     def full_matrix(self):
-        """The odd operator as one (r0+r1) square matrix, evens first."""
-        n = self.total_rank
-        out = _zeros(n, n, self.ring)
-        for i in range(self.r1):
-            for j in range(self.r0):
-                out[self.r0 + i][j] = self.d0[i][j]
-        for i in range(self.r0):
-            for j in range(self.r1):
-                out[i][self.r0 + j] = self.d1[i][j]
-        return out
+        """The odd operator as one (r0+r1) square matrix, evens first; built once."""
+        if self._full is None:
+            n = self.total_rank
+            out = _zeros(n, n, self.ring)
+            for i in range(self.r1):
+                for j in range(self.r0):
+                    out[self.r0 + i][j] = self.d0[i][j]
+            for i in range(self.r0):
+                for j in range(self.r1):
+                    out[i][self.r0 + j] = self.d1[i][j]
+            _set(self, "_full", _frozen(out))
+        return self._full
 
     def shift(self):
         """The parity shift E[1]: swaps the blocks and negates the operator."""
@@ -145,25 +175,37 @@ def validate_mf(mf: MatrixFactorization):
 
 
 class MFMorphism:
-    """A parity-homogeneous matrix between the modules of two factorizations."""
+    """A parity-homogeneous matrix between the modules of two factorizations.
 
-    __slots__ = ("source", "target", "parity", "matrix")
+    `_closed` caches is_closed() and is not pickled or copied.
+    """
+
+    __slots__ = ("source", "target", "parity", "matrix", "_closed")
 
     def __init__(self, source, target, parity, matrix, check_parity=True):
-        self.source = source
-        self.target = target
-        self.parity = parity & 1
-        self.matrix = [list(row) for row in matrix]
-        if len(self.matrix) != target.total_rank or (
-            self.matrix and len(self.matrix[0]) != source.total_rank
+        parity &= 1
+        matrix = _frozen(matrix)
+        if len(matrix) != target.total_rank or (
+            matrix and len(matrix[0]) != source.total_rank
         ):
             raise ValueError("morphism matrix has wrong shape")
         if check_parity:
             sp, tp = source.parities(), target.parities()
             for i in range(target.total_rank):
                 for j in range(source.total_rank):
-                    if not self.matrix[i][j].is_zero() and (tp[i] + sp[j]) % 2 != self.parity:
+                    if not matrix[i][j].is_zero() and (tp[i] + sp[j]) % 2 != parity:
                         raise ValueError("matrix entry violates the declared parity")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "parity", parity)
+        _set(self, "matrix", matrix)
+        _set(self, "_closed", None)
+
+    def __setattr__(self, *args):
+        raise AttributeError("MFMorphism is immutable")
+
+    def __reduce__(self):
+        return MFMorphism, (self.source, self.target, self.parity, self.matrix, False)
 
     @staticmethod
     def from_blocks(source, target, parity, block_a, block_b):
@@ -236,7 +278,11 @@ class MFMorphism:
         return MFMorphism(self.source, self.target, self.parity + 1, mat, check_parity=False)
 
     def is_closed(self) -> bool:
-        return all(e.is_zero() for row in self.differential().matrix for e in row)
+        """Whether D(self) = 0; computed at most once per morphism."""
+        if self._closed is None:
+            _set(self, "_closed", all(
+                e.is_zero() for row in self.differential().matrix for e in row))
+        return self._closed
 
     def inverse(self) -> "MFMorphism":
         """Inverse of a morphism with scalar entries (unit determinant)."""

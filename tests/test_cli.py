@@ -340,3 +340,19 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     assert captured.err.splitlines() == ["error: internal: twist does not preserve the kernel"]
     assert "Traceback" not in captured.err
+
+
+def test_unwritable_json_path_is_input_error(tmp_path):
+    # the report is printed; the failed --json write is one error line and
+    # exit 2, never a traceback with exit 1 (an identity violation)
+    out = tmp_path / "no-such-dir" / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflef.cli", "hlf-verify", "caseA2",
+         "-i", str(FIXTURES / "a2.mflef"), "--json", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 
 import mflef.homcoh
 from mflef.scalars import RootOfUnity, Scalar
-from mflef.polyring import PolyRing
+from mflef.polyring import PolyRing, partial_derivative
 from mflef.mfcore import MFMorphism, MatrixFactorization, koszul_mf, pullback
 from mflef.homcoh import (
     cohomology,
@@ -311,3 +311,56 @@ def test_subquotient_trace_reads_the_quotient(twist):
 def test_subquotient_trace_checks_its_invariants(m_in, twist, message):
     with pytest.raises(AssertionError, match=message):
         mflef.homcoh._subquotient_trace(M_OUT, m_in, _q(twist))
+
+
+# -- theorem oracle: the Jacobian ideal acts by zero on H(Hom(A, B)) -----------
+
+
+def _koszul_family(exponents):
+    """Koszul factorizations of sum x_i^(d_i) over R2, one per split of each power."""
+    gens = (x2, y2)
+    choices = [()]
+    for d in exponents:
+        choices = [c + (a,) for c in choices for a in range(1, d)]
+    return [koszul_mf([g**a for g, a in zip(gens, split)],
+                      [g ** (d - a) for g, a, d in zip(gens, split, exponents)])
+            for split in choices]
+
+
+def _assert_jacobian_annihilates(basis):
+    w = basis.hom.source.potential
+    partials = [partial_derivative(w, i) for i in range(w.ring.nvars)]
+    checked = 0
+    for parity in (0, 1):
+        for k in range(basis.dims[parity]):
+            rep = basis.representative(parity, k)
+            for dw in partials:
+                times = MFMorphism(rep.source, rep.target, rep.parity,
+                                   [[dw * e for e in row] for row in rep.matrix])
+                assert all(c.is_zero() for c in basis.reduce(times))
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("exponents", [(3, 3), (4, 2)], ids=["x3+y3", "x4+y2"])
+def test_jacobian_ideal_annihilates_hom_cohomology(exponents):
+    # Dyckerhoff (Duke 2011): for an isolated singularity each d_i w acts
+    # by zero on H(Hom(A, B)), so d_i w . rho is a coboundary for every rho
+    family = _koszul_family(exponents)
+    checked = 0
+    for a in family:
+        for b in family:
+            checked += _assert_jacobian_annihilates(cohomology(hom_complex(a, b)))
+    assert checked > 0
+
+
+def test_jacobian_ideal_annihilates_a_reused_basis():
+    from mflef.lefschetz import pair_cohomology
+
+    a, b = _koszul_family((3, 3))[:2]
+    pair_cohomology(a, b)
+    kept = pair_cohomology(a, b)
+    assert pair_cohomology(a, b) is kept
+    assert _assert_jacobian_annihilates(kept) > 0
+    # representatives are built once and shared by later requests
+    assert kept.representative(0, 0) is kept.representative(0, 0)

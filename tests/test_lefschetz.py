@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import mflef.lefschetz
+from mflef.homcoh import cohomology, hom_complex
 from mflef.scalars import RootOfUnity, Scalar
 from mflef.polyring import PolyRing
 from mflef.mfcore import (
@@ -20,6 +22,7 @@ from mflef.lefschetz import (
     divisibility_check,
     lhs_hlf,
     lunts_check,
+    pair_cohomology,
     rhs_hlf,
     tilde_beta,
     trace_identity_check,
@@ -427,3 +430,93 @@ def test_verify_hlf_nonzero_pairing_larger_milnor_algebra():
     assert not tau.is_zero()
     rep = verify_hlf(A, A, t, alpha, beta, case="x3y4-odd")
     assert rep.equal and rep.lhs == -8 - 4 * Scalar.zeta(3)
+
+
+# -- reuse of a pair's cohomology ----------------------------------------------
+
+
+def _count_cohomology(monkeypatch):
+    """The (source, target) of every cohomology call lhs_hlf makes from now on."""
+    calls = []
+
+    def counted(hom):
+        calls.append((hom.source, hom.target))
+        return cohomology(hom)
+
+    monkeypatch.setattr(mflef.lefschetz, "cohomology", counted)
+    return calls
+
+
+def _xy_pair():
+    """Two Koszul factorizations of x^3 + y^3."""
+    a = koszul_mf([x2, y2], [x2**2, y2**2])
+    b = koszul_mf([x2**2, y2], [x2, y2**2])
+    return a, b
+
+
+def test_pair_requested_once_keeps_no_basis(monkeypatch):
+    calls = _count_cohomology(monkeypatch)
+    mf, t, alpha, beta = a2_data()
+    lhs_hlf(mf, mf, t, alpha, beta)
+    assert calls == [(mf, mf)]
+    assert mf._hom_memo == {id(mf): (mf, None)}
+
+
+def test_third_request_makes_no_cohomology_call(monkeypatch):
+    calls = _count_cohomology(monkeypatch)
+    mf, t, alpha, beta = a2_data()
+    values = [lhs_hlf(mf, mf, t, alpha, beta) for _ in range(3)]
+    assert len(calls) == 2
+    assert values[0] == values[1] == values[2]
+    a, b = _xy_pair()
+    first, second = pair_cohomology(a, b), pair_cohomology(a, b)
+    assert len(calls) == 4 and first is not second
+    assert pair_cohomology(a, b) is second and len(calls) == 4
+    assert a._hom_memo[id(b)] == (b, second)
+    assert b._hom_memo == {}
+
+
+def test_equal_but_distinct_target_gets_its_own_entry(monkeypatch):
+    calls = _count_cohomology(monkeypatch)
+    a, b = _xy_pair()
+    twin = koszul_mf([x2**2, y2], [x2, y2**2])
+    assert twin is not b and twin.d0 == b.d0 and twin.d1 == b.d1
+    for _ in range(3):
+        pair_cohomology(a, b)
+    assert len(calls) == 2
+    pair_cohomology(a, twin)
+    assert calls[-1] == (a, twin) and len(calls) == 3
+    assert a._hom_memo[id(twin)] == (twin, None)
+    assert a._hom_memo[id(b)][0] is b
+
+
+def _isolated_sweep(d_max):
+    """verify_isolated on (x^a, x^(d-a)) of x^d for every zeta_d^j, objects shared."""
+    reports = []
+    for d in range(2, d_max + 1):
+        mfs = {a: koszul_mf([x**a], [x ** (d - a)]) for a in range(1, d)}
+        for j in range(1, d):
+            t = [RootOfUnity(d, j)]
+            structures = {
+                a: MFMorphism.diagonal(mf, pullback(t, mf), [Scalar.one(), Scalar.zeta(d, j * a)])
+                for a, mf in mfs.items()
+            }
+            for a, mf_a in mfs.items():
+                for b, mf_b in mfs.items():
+                    reports.append(verify_isolated(mf_a, mf_b, t, structures[a],
+                                                   structures[b].inverse(),
+                                                   case=f"d={d} j={j} a={a} b={b}"))
+    return reports
+
+
+def test_reuse_changes_no_verdict_or_printed_value(monkeypatch):
+    calls = _count_cohomology(monkeypatch)
+    reused = [(str(rep), rep.equal) for rep in _isolated_sweep(5)]
+    assert len(calls) < len(reused)  # the sweep repeats pairs, so reuse happened
+    monkeypatch.setattr(mflef.lefschetz, "pair_cohomology",
+                        lambda a, b: mflef.lefschetz.cohomology(hom_complex(a, b)))
+    del calls[:]
+    fresh = [(str(rep), rep.equal) for rep in _isolated_sweep(5)]
+    assert len(calls) == len(fresh)
+    assert reused == fresh
+    assert all(equal for _, equal in fresh)

@@ -82,7 +82,7 @@ def test_tensor_matches_koszul():
     swap = [[0, 1], [1, 0]]
 
     def permute(rows, perm_rows, perm_cols):
-        return [[rows[perm_rows[i]][perm_cols[j]] for j in range(2)] for i in range(2)]
+        return tuple(tuple(rows[perm_rows[i]][perm_cols[j]] for j in range(2)) for i in range(2))
 
     ident = [0, 1]
     assert permute(prod.d0, [1, 0], ident) == direct.d0
@@ -261,10 +261,19 @@ def test_stabilize_residue_field_quartic_four_variables():
 
 
 def _value_key(value):
-    # MatrixFactorization defines no equality; compare what it holds
+    # factorizations and morphisms define no equality; compare what they hold
     if isinstance(value, MatrixFactorization):
         return (value.ring, value.potential, value.r0, value.r1, value.d0, value.d1, value.gradings)
+    if isinstance(value, MFMorphism):
+        return (_value_key(value.source), _value_key(value.target), value.parity, value.matrix)
     return value
+
+
+def _twisted_identity():
+    """The closed even morphism (1, zeta_3) of (x, x^2) to its zeta_3 pullback."""
+    mf = rank11(x, x**2)
+    return MFMorphism.diagonal(mf, pullback([RootOfUnity(3, 1)], mf),
+                               [Scalar.one(), Scalar.zeta(3)])
 
 
 @pytest.mark.parametrize("value", [
@@ -274,10 +283,70 @@ def _value_key(value):
     R2.var("x") ** 3 - Scalar.zeta(3) * R2.var("y"),
     koszul_mf([R2.var("x") ** 2, R2.var("y")], [R2.var("x"), R2.var("y") ** 2],
               gradings=[Fraction(1, 3), Fraction(2, 3)]),
-], ids=["scalar", "root-of-unity", "ring", "polynomial", "koszul-mf"])
+    _twisted_identity(),
+], ids=["scalar", "root-of-unity", "ring", "polynomial", "koszul-mf", "morphism"])
 def test_frozen_values_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert _value_key(twin) == _value_key(value)
+
+
+def test_factorizations_and_morphisms_are_immutable():
+    alpha = _twisted_identity()
+    mf = alpha.source
+    for obj, name in ((mf, "d0"), (mf, "d1"), (mf, "gradings"), (alpha, "matrix"),
+                      (alpha, "parity"), (alpha, "source")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(TypeError):
+        mf.d0[0][0] = x
+    with pytest.raises(TypeError):
+        mf.d0[0] = (x,)
+    with pytest.raises(TypeError):
+        alpha.matrix[0][0] = R1.one()
+    with pytest.raises(TypeError):
+        mf.full_matrix()[1][0] = x
+    # a caller's list is copied, so changing it later changes nothing
+    rows = [[x]]
+    kept = MatrixFactorization(x**2, rows, [[x]])
+    rows[0][0] = x**2
+    assert kept.d0 == ((x,),)
+
+
+def test_derived_values_are_computed_once():
+    alpha = _twisted_identity()
+    assert alpha.source.full_matrix() is alpha.source.full_matrix()
+    assert alpha.is_closed()
+    calls = []
+
+    class Spy(MFMorphism):
+        __slots__ = ()
+
+        def differential(self):
+            calls.append(1)
+            return super().differential()
+
+    spy = Spy(alpha.source, alpha.target, alpha.parity, alpha.matrix)
+    assert spy.is_closed() and spy.is_closed()
+    assert len(calls) == 1
+
+
+def test_copies_carry_no_cache():
+    from mflef.lefschetz import pair_cohomology
+
+    alpha = _twisted_identity()
+    a = alpha.source
+    for _ in range(2):
+        pair_cohomology(a, a)
+    alpha.is_closed()
+    a.full_matrix()
+    assert a._hom_memo[id(a)][1] is not None
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin is not a
+        assert twin._hom_memo == {} and twin._full is None
+    for twin in (copy.deepcopy(alpha), pickle.loads(pickle.dumps(alpha))):
+        assert twin.source._hom_memo == {}
+        assert twin._closed is None and twin.is_closed()
+    assert copy.copy(alpha)._closed is None
 
 
 def test_stabilize_rejects_non_annihilated():
