@@ -46,6 +46,8 @@ identifiers, and `+ - * / ^ ( )`.  Symmetries are written
 
 Every declared factorization is validated on load, every symmetry is checked
 against its potential, and every morphism must be closed.
+
+Parsing checks the MAX_* limits below before the arithmetic they guard.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ class DocumentError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
+MAX_NESTING = 100  # parentheses and unary signs
+MAX_ZETA_ORDER = 100  # of zeta(m), and of each sum, product or quotient
+MAX_EXPONENT = 100
+MAX_DEGREE = 32  # total degree of a product or power
+MAX_POWER_BITS = 4096  # exponent times the bit length of the base's coefficients
+
 RESERVED_KEYS = {
     "name", "expr", "vars", "potential", "roots", "source", "target", "twist",
     "twisted", "parity", "d0", "d1", "grading_even", "grading_odd", "degrees",
@@ -79,6 +87,7 @@ class _Tokens:
     def __init__(self, text, line=None):
         self.items = []
         self.pos = 0
+        self.depth = 0
         self.line = line
         i = 0
         while i < len(text):
@@ -125,21 +134,41 @@ def _parse_expression(tokens: _Tokens, ring: PolyRing) -> Polynomial:
     return expr
 
 
+def _bound(tokens, what, value, limit):
+    if value > limit:
+        raise DocumentError(f"{what} {value} exceeds the limit {limit}", tokens.line)
+    return value
+
+
+def _order(p: Polynomial) -> int:
+    """The cyclotomic order that arithmetic on p's coefficients runs in."""
+    return math.lcm(1, *(c.order for c in p.terms.values()))
+
+
+def _combined_order(tokens, order, rhs):
+    return _bound(tokens, "cyclotomic order", math.lcm(order, _order(rhs)), MAX_ZETA_ORDER)
+
+
 def _parse_sum(tokens, ring):
     value = _parse_product(tokens, ring)
+    order = _order(value)
     while tokens.peek()[0] in ("+", "-"):
         op = tokens.next()[0]
         rhs = _parse_product(tokens, ring)
+        order = _combined_order(tokens, order, rhs)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
 def _parse_product(tokens, ring):
     value = _parse_power(tokens, ring)
+    order = _order(value)
     while tokens.peek()[0] in ("*", "/"):
         op = tokens.next()[0]
         rhs = _parse_power(tokens, ring)
+        order = _combined_order(tokens, order, rhs)
         if op == "*":
+            _bound(tokens, "total degree", value.total_degree() + rhs.total_degree(), MAX_DEGREE)
             value = value * rhs
         else:
             if not rhs.is_constant() or rhs.is_zero():
@@ -157,7 +186,11 @@ def _parse_power(tokens, ring):
     if tokens.peek()[0] == "-":
         tokens.next()
         negative = True
-    exponent = tokens.expect("num")[1]
+    exponent = _bound(tokens, "exponent", tokens.expect("num")[1], MAX_EXPONENT)
+    _bound(tokens, "total degree", base.total_degree() * exponent, MAX_DEGREE)
+    bits = max((abs(n).bit_length() for c in base.terms.values() for n in c.num + (c.den,)),
+               default=0)
+    _bound(tokens, "power bit size", exponent * bits, MAX_POWER_BITS)
     if negative:
         if not base.is_constant():
             raise DocumentError("negative powers need a scalar base", tokens.line)
@@ -171,26 +204,34 @@ def _parse_atom(tokens, ring):
     kind, value = tokens.next()
     if kind == "num":
         return ring.const(value)
-    if kind == "-":
-        return -_parse_power(tokens, ring)
-    if kind == "+":
-        return _parse_power(tokens, ring)
-    if kind == "(":
-        inner = _parse_sum(tokens, ring)
-        tokens.expect(")")
+    if kind in ("-", "+", "("):
+        tokens.depth = _bound(tokens, "nesting depth", tokens.depth + 1, MAX_NESTING)
+        if kind == "(":
+            inner = _parse_sum(tokens, ring)
+            tokens.expect(")")
+        else:
+            inner = _parse_power(tokens, ring)
+            if kind == "-":
+                inner = -inner
+        tokens.depth -= 1
         return inner
     if kind == "ident":
         if value == "zeta":
-            tokens.expect("(")
-            order = tokens.expect("num")[1]
-            tokens.expect(")")
-            if order < 1:
-                raise DocumentError("zeta needs a positive order", tokens.line)
-            return ring.const(Scalar.zeta(order))
+            return ring.const(Scalar.zeta(_zeta_order(tokens)))
         if value in ring.vars:
             return ring.var(value)
         raise DocumentError(f"unknown variable {value!r}", tokens.line)
     raise DocumentError(f"unexpected token {value!r}", tokens.line)
+
+
+def _zeta_order(tokens):
+    """The `(m)` after `zeta`, checked to lie in 1..MAX_ZETA_ORDER."""
+    tokens.expect("(")
+    order = tokens.expect("num")[1]
+    tokens.expect(")")
+    if order < 1:
+        raise DocumentError("zeta needs a positive order", tokens.line)
+    return _bound(tokens, "zeta order", order, MAX_ZETA_ORDER)
 
 
 def parse_polynomial(text: str, ring: PolyRing, line=None) -> Polynomial:
@@ -202,11 +243,7 @@ def parse_symmetry_literal(text: str, nvars: int, line=None):
     tokens = _Tokens(text, line)
     kind, value = tokens.next()
     if kind == "ident" and value == "zeta":
-        tokens.expect("(")
-        order = tokens.expect("num")[1]
-        tokens.expect(")")
-        if order < 1:
-            raise DocumentError("zeta needs a positive order", line)
+        order = _zeta_order(tokens)
         tokens.expect("^")
         tokens.expect("[")
         exponents = []

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
-from .mfcore import MatrixFactorization, MFMorphism, _poly_mat_mul, _zeros
+from .mfcore import MatrixFactorization, MFMorphism
 from .polyring import Polynomial, WeightSystem, monomials_of_weighted_degree, scale_substitute
 from .scalars import Scalar, as_scalar
 
@@ -49,10 +49,8 @@ class HomComplex:
         )
         self.d_matrices = (self._build_d(0), self._build_d(1))
         for parity in (0, 1):
-            square = _poly_mat_mul(
-                self.d_matrices[1 - parity], self.d_matrices[parity], self.ring,
-                cols=len(self.pairs[parity]),
-            )
+            square = linalg.mat_mul(self.d_matrices[1 - parity], self.d_matrices[parity],
+                                    self.ring.zero(), cols=len(self.pairs[parity]))
             if any(not e.is_zero() for row in square for e in row):
                 raise AssertionError("Hom-complex differential does not square to zero")
 
@@ -65,7 +63,7 @@ class HomComplex:
         db = self.target.full_matrix()
         da = self.source.full_matrix()
         sign = Scalar.from_rational(1 if parity == 0 else -1)
-        mat = _zeros(len(dst_pairs), len(src_pairs), ring)
+        mat = linalg.zeros(len(dst_pairs), len(src_pairs), ring.zero())
         for col, (a, b) in enumerate(src_pairs):
             for i in range(self.target.total_rank):
                 entry = db[i][a]
@@ -85,7 +83,7 @@ class HomComplex:
         return [phi.matrix[a][b] for (a, b) in self.pairs[parity]]
 
     def unflatten(self, parity, column) -> MFMorphism:
-        mat = _zeros(self.target.total_rank, self.source.total_rank, self.ring)
+        mat = linalg.zeros(self.target.total_rank, self.source.total_rank, self.ring.zero())
         for (a, b), entry in zip(self.pairs[parity], column):
             mat[a][b] = entry
         return MFMorphism(self.source, self.target, parity, mat, check_parity=False)
@@ -243,7 +241,7 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
         raise ValueError("alpha and beta must be closed morphisms")
     n = basis.total_dim()
     dims = basis.dims
-    out = [[Scalar.zero() for _ in range(n)] for _ in range(n)]
+    out = linalg.zeros(n, n)
     shift = (alpha.parity + beta.parity) % 2
     for parity in (0, 1):
         for k in range(dims[parity]):
@@ -450,7 +448,7 @@ def _d_matrix(a, b, src: GradedHomPiece, dst: GradedHomPiece, parity, ring):
     """Scalar matrix of D between two degree pieces."""
     da, db = a.full_matrix(), b.full_matrix()
     sign = Scalar.from_rational(1 if parity == 0 else -1)
-    rows = [[Scalar.zero() for _ in src.elements] for _ in dst.elements]
+    rows = linalg.zeros(len(dst.elements), len(src.elements))
     for col, (ai, bj, mono) in enumerate(src.elements):
         for i in range(b.total_rank):
             entry = db[i][ai]
@@ -475,7 +473,7 @@ def _d_matrix(a, b, src: GradedHomPiece, dst: GradedHomPiece, parity, ring):
 
 def _twist_matrix(a, b, piece: GradedHomPiece, scales, alpha, beta, ring):
     pa, pb = a.parities(), b.parities()
-    rows = [[Scalar.zero() for _ in piece.elements] for _ in piece.elements]
+    rows = linalg.zeros(len(piece.elements), len(piece.elements))
     for col, (ai, bj, mono) in enumerate(piece.elements):
         factor = Scalar.one()
         # Koszul sign for moving the element past the (odd) post-twist

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from . import linalg
 from .homcoh import (
     CohomologyBasis,
     cohomology,
@@ -31,7 +32,6 @@ from .milnor import (
 from .mfcore import (
     MatrixFactorization,
     MFMorphism,
-    _poly_mat_mul,
     equivariance_power_check,
     pullback,
     supertrace_at_origin,
@@ -118,7 +118,7 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
     composite = alpha.matrix
     for f in fixed:
         derived = [[partial_derivative(e, f) for e in row] for row in delta]
-        composite = _poly_mat_mul(derived, composite, ring, cols=mf.total_rank)
+        composite = linalg.mat_mul(derived, composite, ring.zero(), cols=mf.total_rank)
     if (len(fixed) + alpha.parity) % 2:
         return ts.zero()
     trace = ring.zero()
@@ -158,6 +158,10 @@ def pair_cohomology(a: MatrixFactorization, b: MatrixFactorization) -> Cohomolog
     equal but distinct b gets its own entry.  A pair is admitted on its second
     request: the first stores only a marker, so a pair used once keeps no
     basis alive.  Under threads, the worst case is a duplicate computation.
+
+    A kept basis refers back to a (a._hom_memo -> basis -> HomComplex -> a),
+    and so does the marker of a pair (a, a).  Such an entry is freed by the
+    cyclic garbage collector, not when the last outside reference goes.
     """
     entry = a._hom_memo.get(id(b))
     if entry is not None and entry[1] is not None:

@@ -1,21 +1,25 @@
-"""Exact linear algebra over Q(zeta_m) on dense lists of Scalars.
+"""Exact dense linear algebra on lists of rows.
 
-One reduced-echelon elimination, `_echelon`, serves `rank`, `solve`,
-`nullspace`, `invert`, `det` and `echelon_form`.  Its callers are the graded
-engine's strand traces, the stabilization homotopy solves, `find_weights`,
-`MFMorphism.inverse` and `Scalar.descend`.
+`zeros` and `mat_mul` take any entries with `is_zero`, `+` and `*`: Scalars
+in Q(zeta_m), and Polynomials for the odd operators, morphisms, Hom
+differentials and stabilization residuals of `mfcore`, `homcoh` and
+`lefschetz`.  The caller passes the zero of its entries.
+
+One reduced-echelon elimination over Q(zeta_m), `_echelon`, serves `rank`,
+`solve`, `nullspace`, `invert`, `det` and `echelon_form`.  Its callers are the
+graded engine's strand traces, the stabilization homotopy solves,
+`find_weights`, `MFMorphism.inverse` and `Scalar.descend`.
 """
 
 from __future__ import annotations
 
 from .scalars import Scalar, as_scalar
 
-Matrix = list  # list[list[Scalar]]
+Matrix = list  # list[list[Scalar]] or list[list[Polynomial]]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    z = Scalar.zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
+def zeros(rows: int, cols: int, zero=Scalar.zero()) -> Matrix:
+    return [[zero] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
@@ -25,20 +29,23 @@ def identity(n: int) -> Matrix:
     return mat
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
+def mat_mul(a: Matrix, b: Matrix, zero=Scalar.zero(), cols=None) -> Matrix:
+    """A B.  `cols` gives the width of B when B has no rows."""
+    rows, inner = len(a), len(b)
+    if cols is None:
+        cols = len(b[0]) if b else 0
+    out = zeros(rows, cols, zero)
     for i in range(rows):
-        ai = a[i]
+        ai, oi = a[i], out[i]
         for k in range(inner):
             c = ai[k]
             if c.is_zero():
                 continue
             bk = b[k]
-            oi = out[i]
             for j in range(cols):
-                if not bk[j].is_zero():
-                    oi[j] = oi[j] + c * bk[j]
+                e = bk[j]
+                if not e.is_zero():
+                    oi[j] = oi[j] + c * e
     return out
 
 

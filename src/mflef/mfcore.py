@@ -4,8 +4,9 @@ A factorization of w is stored as the two odd blocks d0 (even -> odd) and
 d1 (odd -> even) with d1 d0 = d0 d1 = w, or equivalently as the full odd
 square matrix in the generator order (all even generators, then all odd).
 Morphisms are kept as full matrices with a declared parity; composition is
-then plain matrix multiplication and the Koszul sign bookkeeping lives only
-in the constructors that need it (koszul_mf, tensor_mf).
+then plain matrix multiplication (linalg.mat_mul) and the Koszul sign
+bookkeeping lives only in koszul_mf and in the one tensor kernel, which
+builds both tensor_morphisms and the operator d1 (x) 1 + 1 (x) d2 of tensor_mf.
 
 Factorizations and morphisms are immutable, like Polynomial: matrices are
 tuples of tuples and attributes cannot be reassigned.  So what is derived
@@ -34,28 +35,8 @@ class MFValidationError(ValueError):
     pass
 
 
-def _poly_mat_mul(a, b, ring, cols=None):
-    rows, inner = len(a), len(b)
-    if cols is None:
-        cols = len(b[0]) if inner else 0
-    out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            entry = a[i][k]
-            if entry.is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + entry * b[k][j]
-    return out
-
-
 def _poly_mat_scale(a, c):
     return [[entry * c for entry in row] for row in a]
-
-
-def _zeros(rows, cols, ring):
-    return [[ring.zero() for _ in range(cols)] for _ in range(rows)]
 
 
 _set = object.__setattr__  # the one way to write a field of the frozen classes
@@ -63,6 +44,12 @@ _set = object.__setattr__  # the one way to write a field of the frozen classes
 
 def _frozen(matrix):
     return tuple(map(tuple, matrix))
+
+
+def _place(out, block, top, left):
+    """Copy block into out with its first entry at (top, left)."""
+    for i, row in enumerate(block):
+        out[top + i][left:left + len(row)] = row
 
 
 class MatrixFactorization:
@@ -125,15 +112,7 @@ class MatrixFactorization:
     def full_matrix(self):
         """The odd operator as one (r0+r1) square matrix, evens first; built once."""
         if self._full is None:
-            n = self.total_rank
-            out = _zeros(n, n, self.ring)
-            for i in range(self.r1):
-                for j in range(self.r0):
-                    out[self.r0 + i][j] = self.d0[i][j]
-            for i in range(self.r0):
-                for j in range(self.r1):
-                    out[i][self.r0 + j] = self.d1[i][j]
-            _set(self, "_full", _frozen(out))
+            _set(self, "_full", MFMorphism.from_blocks(self, self, 1, self.d0, self.d1).matrix)
         return self._full
 
     def shift(self):
@@ -156,19 +135,15 @@ class MatrixFactorization:
 
 def validate_mf(mf: MatrixFactorization):
     """Check d1 d0 = w id and d0 d1 = w id exactly; raise with details."""
-    ring, w = mf.ring, mf.potential
-    prod10 = _poly_mat_mul(mf.d1, mf.d0, ring, cols=mf.r0)
-    for i in range(mf.r0):
-        for j in range(mf.r0):
-            expected = w if i == j else ring.zero()
-            if not (prod10[i][j] == expected):
-                raise MFValidationError(f"(d1*d0)[{i}][{j}] = {prod10[i][j]}, expected {expected}")
-    prod01 = _poly_mat_mul(mf.d0, mf.d1, ring, cols=mf.r1)
-    for i in range(mf.r1):
-        for j in range(mf.r1):
-            expected = w if i == j else ring.zero()
-            if not (prod01[i][j] == expected):
-                raise MFValidationError(f"(d0*d1)[{i}][{j}] = {prod01[i][j]}, expected {expected}")
+    zero, w = mf.ring.zero(), mf.potential
+    for name, left, right, n in (("d1*d0", mf.d1, mf.d0, mf.r0), ("d0*d1", mf.d0, mf.d1, mf.r1)):
+        prod = linalg.mat_mul(left, right, zero, cols=n)
+        for i in range(n):
+            for j in range(n):
+                expected = w if i == j else zero
+                if not (prod[i][j] == expected):
+                    raise MFValidationError(
+                        f"({name})[{i}][{j}] = {prod[i][j]}, expected {expected}")
     if not w.is_zero() and mf.r0 != mf.r1:
         raise MFValidationError("nonzero potential forces equal even and odd ranks")
     return True
@@ -210,34 +185,22 @@ class MFMorphism:
     @staticmethod
     def from_blocks(source, target, parity, block_a, block_b):
         """Even: blocks (A0->B0, A1->B1).  Odd: blocks (A0->B1, A1->B0)."""
-        ring = source.ring
-        mat = _zeros(target.total_rank, source.total_rank, ring)
-        if parity % 2 == 0:
-            for i in range(target.r0):
-                for j in range(source.r0):
-                    mat[i][j] = block_a[i][j]
-            for i in range(target.r1):
-                for j in range(source.r1):
-                    mat[target.r0 + i][source.r0 + j] = block_b[i][j]
-        else:
-            for i in range(target.r1):
-                for j in range(source.r0):
-                    mat[target.r0 + i][j] = block_a[i][j]
-            for i in range(target.r0):
-                for j in range(source.r1):
-                    mat[i][source.r0 + j] = block_b[i][j]
+        mat = linalg.zeros(target.total_rank, source.total_rank, source.ring.zero())
+        odd = parity % 2
+        _place(mat, block_a, target.r0 * odd, 0)
+        _place(mat, block_b, target.r0 * (1 - odd), source.r0)
         return MFMorphism(source, target, parity, mat, check_parity=False)
 
     @staticmethod
     def identity(mf):
-        mat = _zeros(mf.total_rank, mf.total_rank, mf.ring)
+        mat = linalg.zeros(mf.total_rank, mf.total_rank, mf.ring.zero())
         for i in range(mf.total_rank):
             mat[i][i] = mf.ring.one()
         return MFMorphism(mf, mf, 0, mat, check_parity=False)
 
     @staticmethod
     def diagonal(source, target, scalars):
-        mat = _zeros(target.total_rank, source.total_rank, source.ring)
+        mat = linalg.zeros(target.total_rank, source.total_rank, source.ring.zero())
         for i, c in enumerate(scalars):
             mat[i][i] = source.ring.const(as_scalar(c))
         return MFMorphism(source, target, 0, mat)
@@ -248,8 +211,8 @@ class MFMorphism:
             other.source,
             self.target,
             self.parity + other.parity,
-            _poly_mat_mul(self.matrix, other.matrix, self.source.ring,
-                          cols=other.source.total_rank),
+            linalg.mat_mul(self.matrix, other.matrix, self.source.ring.zero(),
+                           cols=other.source.total_rank),
             check_parity=False,
         )
 
@@ -268,11 +231,9 @@ class MFMorphism:
 
     def differential(self) -> "MFMorphism":
         """D(phi) = d_B phi - (-1)^{|phi|} phi d_A."""
-        ring = self.source.ring
-        left = _poly_mat_mul(self.target.full_matrix(), self.matrix, ring,
-                             cols=self.source.total_rank)
-        right = _poly_mat_mul(self.matrix, self.source.full_matrix(), ring,
-                              cols=self.source.total_rank)
+        zero, n = self.source.ring.zero(), self.source.total_rank
+        left = linalg.mat_mul(self.target.full_matrix(), self.matrix, zero, cols=n)
+        right = linalg.mat_mul(self.matrix, self.source.full_matrix(), zero, cols=n)
         sign = Scalar.from_rational(1 if self.parity % 2 == 0 else -1)
         mat = [[l - r * sign for l, r in zip(lr, rr)] for lr, rr in zip(left, right)]
         return MFMorphism(self.source, self.target, self.parity + 1, mat, check_parity=False)
@@ -331,8 +292,8 @@ def koszul_mf(a_seq, b_seq, gradings=None) -> MatrixFactorization:
     odds = [s for s in range(1 << r) if bin(s).count("1") % 2 == 1]
     even_index = {s: i for i, s in enumerate(evens)}
     odd_index = {s: i for i, s in enumerate(odds)}
-    d0 = _zeros(len(odds), len(evens), ring)
-    d1 = _zeros(len(evens), len(odds), ring)
+    d0 = linalg.zeros(len(odds), len(evens), ring.zero())
+    d1 = linalg.zeros(len(evens), len(odds), ring.zero())
 
     def act(sources, target_index, block):
         for col, s in enumerate(sources):
@@ -374,66 +335,55 @@ def _merged_ring(r1: PolyRing, r2: PolyRing) -> PolyRing:
     return PolyRing(tuple(list(r1.vars) + [v for v in r2.vars if v not in r1.vars]))
 
 
-def _tensor_basis(e1: MatrixFactorization, e2: MatrixFactorization):
-    """Pairs of generators of a tensor product, evens first; with index map."""
-    gens1 = [(0, i) for i in range(e1.r0)] + [(1, i) for i in range(e1.r1)]
-    gens2 = [(0, i) for i in range(e2.r0)] + [(1, i) for i in range(e2.r1)]
-    pairs = [(g1, g2) for g1 in gens1 for g2 in gens2]
-    evens = [p for p in pairs if (p[0][0] + p[1][0]) % 2 == 0]
-    odds = [p for p in pairs if (p[0][0] + p[1][0]) % 2 == 1]
-    index = {p: k for k, p in enumerate(evens)}
-    index.update({p: len(evens) + k for k, p in enumerate(odds)})
-    return pairs, evens, odds, index
+def _tensor_index(e1: MatrixFactorization, e2: MatrixFactorization) -> dict:
+    """Position in e1 (x) e2 of each pair (j1, j2) of generator indices: the
+    pairs in generator order, the even ones first."""
+    p1, p2 = e1.parities(), e2.parities()
+    pairs = [(j1, j2) for j1 in range(e1.total_rank) for j2 in range(e2.total_rank)]
+    pairs.sort(key=lambda p: (p1[p[0]] + p2[p[1]]) % 2)  # stable: evens first
+    return {p: k for k, p in enumerate(pairs)}
+
+
+def _lift(p: Polynomial, ring: PolyRing) -> Polynomial:
+    return p if p.ring == ring else extend_ring(p, ring)
+
+
+def _add_tensor(out, m1: MFMorphism, m2: MFMorphism, ring: PolyRing):
+    """Add the matrix of m1 (x) m2 over `ring` into `out`, with the sign
+    (m1 (x) m2)(a (x) b) = (-1)^(|m2||a|) m1(a) (x) m2(b)."""
+    dst = _tensor_index(m1.target, m2.target)
+    for (j1, j2), col in _tensor_index(m1.source, m2.source).items():
+        sign = Scalar.from_rational(-1 if m2.parity and j1 >= m1.source.r0 else 1)
+        for i1, row1 in enumerate(m1.matrix):
+            v1 = row1[j1]
+            if v1.is_zero():
+                continue
+            for i2, row2 in enumerate(m2.matrix):
+                v2 = row2[j2]
+                if not v2.is_zero():
+                    row = dst[(i1, i2)]
+                    out[row][col] = out[row][col] + _lift(v1, ring) * _lift(v2, ring) * sign
 
 
 def tensor_mf(e1: MatrixFactorization, e2: MatrixFactorization) -> MatrixFactorization:
-    """Graded tensor product: a factorization of w1 + w2 with Koszul signs."""
+    """Graded tensor product: a factorization of w1 + w2 with operator
+    d1 (x) 1 + 1 (x) d2, whose tensor sign is the Koszul sign."""
     ring = _merged_ring(e1.ring, e2.ring)
-
-    def lift(p):
-        return p if p.ring == ring else extend_ring(p, ring)
-
-    w = lift(e1.potential) + lift(e2.potential)
-    pairs, evens, odds, index = _tensor_basis(e1, e2)
-    gens1 = [(0, i) for i in range(e1.r0)] + [(1, i) for i in range(e1.r1)]
-    gens2 = [(0, i) for i in range(e2.r0)] + [(1, i) for i in range(e2.r1)]
-
-    f1 = [[lift(x) for x in row] for row in e1.full_matrix()]
-    f2 = [[lift(x) for x in row] for row in e2.full_matrix()]
-
-    def flat1(g):
-        return g[1] if g[0] == 0 else e1.r0 + g[1]
-
-    def flat2(g):
-        return g[1] if g[0] == 0 else e2.r0 + g[1]
-
-    n = len(pairs)
-    full = _zeros(n, n, ring)
-    for g1, g2 in pairs:
-        col = index[(g1, g2)]
-        for h1 in gens1:
-            entry = f1[flat1(h1)][flat1(g1)]
-            if not entry.is_zero():
-                full[index[(h1, g2)]][col] = full[index[(h1, g2)]][col] + entry
-        sign = Scalar.from_rational((-1) ** g1[0])
-        for h2 in gens2:
-            entry = f2[flat2(h2)][flat2(g2)]
-            if not entry.is_zero():
-                full[index[(g1, h2)]][col] = full[index[(g1, h2)]][col] + entry * sign
-
-    n0 = len(evens)
-    d0 = [[full[n0 + i][j] for j in range(n0)] for i in range(len(odds))]
-    d1 = [[full[i][n0 + j] for j in range(len(odds))] for i in range(n0)]
+    w = _lift(e1.potential, ring) + _lift(e2.potential, ring)
+    delta1, delta2 = (MFMorphism(e, e, 1, e.full_matrix(), check_parity=False) for e in (e1, e2))
+    index = _tensor_index(e1, e2)
+    n, n0 = len(index), e1.r0 * e2.r0 + e1.r1 * e2.r1
+    full = linalg.zeros(n, n, ring.zero())
+    _add_tensor(full, delta1, MFMorphism.identity(e2), ring)
+    _add_tensor(full, MFMorphism.identity(e1), delta2, ring)
+    d0 = [row[:n0] for row in full[n0:]]
+    d1 = [row[n0:] for row in full[:n0]]
     gradings = None
     if e1.gradings is not None and e2.gradings is not None:
-        def gdeg(mf, g):
-            return mf.gradings[g[0]][g[1]]
-
-        gradings = (
-            tuple(gdeg(e1, p[0]) + gdeg(e2, p[1]) for p in evens),
-            tuple(gdeg(e1, p[0]) + gdeg(e2, p[1]) for p in odds),
-        )
-    return MatrixFactorization(w, d0, d1, r0=n0, r1=len(odds), gradings=gradings)
+        g1, g2 = e1.grading_list(), e2.grading_list()
+        flat = [g1[j1] + g2[j2] for j1, j2 in index]
+        gradings = (flat[:n0], flat[n0:])
+    return MatrixFactorization(w, d0, d1, r0=n0, r1=n - n0, gradings=gradings)
 
 
 def tensor_morphisms(m1: MFMorphism, m2: MFMorphism,
@@ -449,33 +399,8 @@ def tensor_morphisms(m1: MFMorphism, m2: MFMorphism,
         source = tensor_mf(m1.source, m2.source)
     if target is None:
         target = tensor_mf(m1.target, m2.target)
-    ring = source.ring
-
-    def lift(p):
-        return p if p.ring == ring else extend_ring(p, ring)
-
-    pairs_src, _, _, idx_src = _tensor_basis(m1.source, m2.source)
-    _, _, _, idx_dst = _tensor_basis(m1.target, m2.target)
-
-    def flat(mf, g):
-        return g[1] if g[0] == 0 else mf.r0 + g[1]
-
-    out = _zeros(target.total_rank, source.total_rank, ring)
-    for g1, g2 in pairs_src:
-        col = idx_src[(g1, g2)]
-        sign = Scalar.from_rational((-1) ** (m2.parity * g1[0]))
-        for i1 in range(m1.target.total_rank):
-            v1 = m1.matrix[i1][flat(m1.source, g1)]
-            if v1.is_zero():
-                continue
-            h1 = (0, i1) if i1 < m1.target.r0 else (1, i1 - m1.target.r0)
-            for i2 in range(m2.target.total_rank):
-                v2 = m2.matrix[i2][flat(m2.source, g2)]
-                if v2.is_zero():
-                    continue
-                h2 = (0, i2) if i2 < m2.target.r0 else (1, i2 - m2.target.r0)
-                row = idx_dst[(h1, h2)]
-                out[row][col] = out[row][col] + lift(v1) * lift(v2) * sign
+    out = linalg.zeros(target.total_rank, source.total_rank, source.ring.zero())
+    _add_tensor(out, m1, m2, source.ring)
     return MFMorphism(source, target, m1.parity + m2.parity, out, check_parity=False)
 
 
@@ -533,15 +458,9 @@ def equivariance_power_check(t, alpha: MFMorphism, p: int) -> bool:
     power = scales
     for _ in range(p - 1):
         twisted = [[scale_substitute(e, power) for e in row] for row in alpha.matrix]
-        composite = _poly_mat_mul(twisted, composite, ring, cols=alpha.source.total_rank)
+        composite = linalg.mat_mul(twisted, composite, ring.zero(), cols=alpha.source.total_rank)
         power = [a * b for a, b in zip(power, scales)]
-    n = alpha.source.total_rank
-    for i in range(n):
-        for j in range(n):
-            expected = ring.one() if i == j else ring.zero()
-            if not (composite[i][j] == expected):
-                return False
-    return True
+    return _frozen(composite) == MFMorphism.identity(alpha.source).matrix
 
 
 class OriginComplex:
@@ -554,14 +473,11 @@ class OriginComplex:
             raise ValueError("potential must vanish at the origin")
         self.r0, self.r1 = mf.r0, mf.r1
         self.delta0 = [[e.constant_term() for e in row] for row in mf.full_matrix()]
-        square = linalg.mat_mul(self.delta0, self.delta0)
-        for i in range(self.r0 + self.r1):
-            for j in range(self.r0 + self.r1):
-                if not square[i][j].is_zero():
-                    raise ValueError(
-                        "restriction to the origin does not square to zero; "
-                        "the potential has terms outside the square of the maximal ideal"
-                    )
+        if any(not e.is_zero() for row in linalg.mat_mul(self.delta0, self.delta0) for e in row):
+            raise ValueError(
+                "restriction to the origin does not square to zero; "
+                "the potential has terms outside the square of the maximal ideal"
+            )
 
 
 def restrict_to_origin(mf: MatrixFactorization) -> OriginComplex:
@@ -622,45 +538,37 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
     for r in ranks:
         offsets.append(offsets[-1] + r)
     total = offsets[-1]
+    step = [k for k in range(steps) for _ in range(ranks[k])]  # homological degree of a slot
+    degrees = [d for row in res.degrees for d in row]  # internal degree of a slot
     w_deg = w.total_degree()
 
-    blocks: dict = {}
-    for k, mat in enumerate(res.matrices):
-        blocks[(k, k + 1)] = mat  # d_{k+1}: F_{k+1} -> F_k
+    blocks = {(k, k + 1): mat for k, mat in enumerate(res.matrices)}  # d_{k+1}: F_{k+1} -> F_k
 
     def total_matrix():
-        out = _zeros(total, total, ring)
+        out = linalg.zeros(total, total, ring.zero())
         for (ti, si), mat in blocks.items():
-            for i in range(ranks[ti]):
-                for j in range(ranks[si]):
-                    out[offsets[ti] + i][offsets[si] + j] = mat[i][j]
+            _place(out, mat, offsets[ti], offsets[si])
         return out
 
     def residual_of(op):
-        sq = _poly_mat_mul(op, op, ring, cols=total)
+        sq = linalg.mat_mul(op, op, ring.zero(), cols=total)
         for i in range(total):
             sq[i][i] = sq[i][i] - w
         return [[-e for e in row] for row in sq]  # w id - op^2
 
     operator = total_matrix()
-    residual = residual_of(operator)
     guard = 0
-    while any(not e.is_zero() for row in residual for e in row):
+    while True:
+        residual = residual_of(operator)
+        shifts = {step[i] - step[j] for i, row in enumerate(residual)
+                  for j, e in enumerate(row) if not e.is_zero()}
+        if not shifts:
+            break
         guard += 1
         if guard > steps + 2:
             raise AssertionError("homotopy iteration failed to terminate")
-        shift = None
-        for si in range(steps):
-            for ti in range(steps):
-                nonzero = any(
-                    not residual[offsets[ti] + i][offsets[si] + j].is_zero()
-                    for i in range(ranks[ti])
-                    for j in range(ranks[si])
-                )
-                if nonzero:
-                    h = ti - si
-                    shift = h if shift is None else min(shift, h)
-        if shift is None or shift < 0 or shift % 2:
+        shift = min(shifts)
+        if shift < 0 or shift % 2:
             raise AssertionError("residual has an inconsistent homological shift")
         correction = _solve_homotopy(res, ring, ranks, offsets, residual, shift, w_deg)
         for key, mat in correction.items():
@@ -671,37 +579,19 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
             else:
                 blocks[key] = mat
         operator = total_matrix()
-        residual = residual_of(operator)
 
-    even_slots = [(k, i) for k in range(0, steps, 2) for i in range(ranks[k])]
-    odd_slots = [(k, i) for k in range(1, steps, 2) for i in range(ranks[k])]
-    slot_index = {slot: pos for pos, slot in enumerate(even_slots)}
-    slot_index.update({slot: len(even_slots) + pos for pos, slot in enumerate(odd_slots)})
-
-    def reindex(flat):
-        for k in range(steps):
-            if offsets[k] <= flat < offsets[k + 1]:
-                return slot_index[(k, flat - offsets[k])]
-        raise IndexError(flat)
-
-    perm = [reindex(i) for i in range(total)]
-    full = _zeros(total, total, ring)
-    for i in range(total):
-        for j in range(total):
-            full[perm[i]][perm[j]] = operator[i][j]
-    n0 = len(even_slots)
-    d0 = [[full[n0 + i][j] for j in range(n0)] for i in range(total - n0)]
-    d1 = [[full[i][n0 + j] for j in range(total - n0)] for i in range(n0)]
-    gradings = (
-        tuple(Fraction(res.degrees[k][i]) for (k, i) in even_slots),
-        tuple(Fraction(res.degrees[k][i]) for (k, i) in odd_slots),
-    )
-    mf = MatrixFactorization(w, d0, d1, r0=n0, r1=total - n0, gradings=gradings)
+    # d0 and d1 are the blocks of the operator between even and odd steps
+    evens = [i for i in range(total) if step[i] % 2 == 0]
+    odds = [i for i in range(total) if step[i] % 2]
+    d0 = [[operator[i][j] for j in evens] for i in odds]
+    d1 = [[operator[i][j] for j in odds] for i in evens]
+    gradings = (tuple(Fraction(degrees[i]) for i in evens),
+                tuple(Fraction(degrees[i]) for i in odds))
+    mf = MatrixFactorization(w, d0, d1, r0=len(evens), r1=len(odds), gradings=gradings)
 
     alpha = None
     if w_deg % 2 == 0 and ring.nvars > 0:
-        signs = [Scalar.from_rational((-1) ** int(res.degrees[k][i]))
-                 for (k, i) in even_slots + odd_slots]
+        signs = [Scalar.from_rational((-1) ** int(degrees[i])) for i in evens + odds]
         minus = [Scalar.from_rational(-1)] * ring.nvars
         alpha = MFMorphism.diagonal(mf, pullback(minus, mf), signs)
         if not alpha.is_closed():
@@ -791,6 +681,6 @@ def _solve_homotopy(res, ring, ranks, offsets, residual, shift, w_deg):
             continue
         key = (k + shift + 1, k)
         if key not in out:
-            out[key] = _zeros(ranks[k + shift + 1], ranks[k], ring)
+            out[key] = linalg.zeros(ranks[k + shift + 1], ranks[k], ring.zero())
         out[key][i][j] = out[key][i][j] + ring.monomial(m, c)
     return out

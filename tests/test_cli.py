@@ -356,3 +356,62 @@ def test_unwritable_json_path_is_input_error(tmp_path):
     assert proc.stderr.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# One step past each parser limit: MAX_NESTING, MAX_ZETA_ORDER, MAX_EXPONENT,
+# MAX_DEGREE and MAX_POWER_BITS of mflef.document.
+NESTED_POTENTIAL = "[potential]\nw = {expr}\n"
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 101 + "x" + ")" * 101 + "^3",
+    "-" * 101 + "x^3",
+], ids=["parentheses", "unary-signs"])
+def test_deep_nesting_is_input_error(expr, tmp_path):
+    doc = tmp_path / "deep.mflef"
+    doc.write_text(NESTED_POTENTIAL.format(expr=expr))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflef.cli", "milnor", "w", "-i", str(doc)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: line 2: nesting depth 101 exceeds the limit 100"]
+    assert "Traceback" not in proc.stderr
+
+
+BOUNDED_POTENTIAL = """
+[potential]
+vars = x, y
+w = x^3 + y^3 + {expr}
+"""
+
+BOUNDED_ROOTS = """
+[potential]
+w = x^3
+
+[symmetry]
+name = t
+potential = w
+roots = zeta(101)^[1]
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (BOUNDED_POTENTIAL.format(expr="zeta(101)"), "line 4: zeta order 101 exceeds the limit 100"),
+    (BOUNDED_ROOTS, "line 8: zeta order 101 exceeds the limit 100"),
+    # 102 is the least order past 100 that two orders up to 100 can combine to
+    (BOUNDED_POTENTIAL.format(expr="zeta(3)*zeta(34)"),
+     "line 4: cyclotomic order 102 exceeds the limit 100"),
+    (BOUNDED_POTENTIAL.format(expr="2^101"), "line 4: exponent 101 exceeds the limit 100"),
+    (BOUNDED_POTENTIAL.format(expr="x^33"), "line 4: total degree 33 exceeds the limit 32"),
+    (BOUNDED_POTENTIAL.format(expr="x^16*y^17"), "line 4: total degree 33 exceeds the limit 32"),
+    # 2^240 has 241 bits and 17 * 241 = 4097
+    (BOUNDED_POTENTIAL.format(expr="((2^80)^3)^17"),
+     "line 4: power bit size 4097 exceeds the limit 4096"),
+], ids=["zeta-order", "roots-order", "combined-order", "exponent", "power-degree",
+        "product-degree", "power-bits"])
+def test_work_bounds_are_input_errors(text, message, tmp_path, capsys):
+    doc = tmp_path / "big.mflef"
+    doc.write_text(text)
+    assert _run(["milnor", "w", "-i", str(doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

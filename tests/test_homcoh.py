@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import mflef.homcoh
+from mflef import linalg
 from mflef.scalars import RootOfUnity, Scalar
-from mflef.polyring import PolyRing, partial_derivative
+from mflef.polyring import PolyRing, WeightSystem, partial_derivative
 from mflef.mfcore import MFMorphism, MatrixFactorization, koszul_mf, pullback
 from mflef.homcoh import (
     cohomology,
@@ -316,14 +317,17 @@ def test_subquotient_trace_checks_its_invariants(m_in, twist, message):
 # -- theorem oracle: the Jacobian ideal acts by zero on H(Hom(A, B)) -----------
 
 
-def _koszul_family(exponents):
-    """Koszul factorizations of sum x_i^(d_i) over R2, one per split of each power."""
+def _koszul_family(exponents, graded=False):
+    """Koszul factorizations of sum x_i^(d_i) over R2, one per split of each
+    power; with `graded`, deg x_i = 1/d_i and the odd operator has degree 1/2."""
     gens = (x2, y2)
     choices = [()]
     for d in exponents:
         choices = [c + (a,) for c in choices for a in range(1, d)]
     return [koszul_mf([g**a for g, a in zip(gens, split)],
-                      [g ** (d - a) for g, a, d in zip(gens, split, exponents)])
+                      [g ** (d - a) for g, a, d in zip(gens, split, exponents)],
+                      gradings=[Fraction(d - a, d) for a, d in zip(split, exponents)]
+                      if graded else None)
             for split in choices]
 
 
@@ -364,3 +368,42 @@ def test_jacobian_ideal_annihilates_a_reused_basis():
     assert _assert_jacobian_annihilates(kept) > 0
     # representatives are built once and shared by later requests
     assert kept.representative(0, 0) is kept.representative(0, 0)
+
+
+# -- theorem oracle: graded Serre duality --------------------------------------
+
+
+def _graded_dims(a, b):
+    """{(P, d): dim H^P_d(Hom(A, B))} over the nonzero pieces of the graded engine."""
+    weights, shift = mflef.homcoh._weights_and_shift(a, b)
+    ga, gb = a.grading_list(), b.grading_list()
+    dims = {}
+    for parity, piece, m_out, m_in in mflef.homcoh._strands(a, b, weights, shift):
+        dim = len(piece.elements) - linalg.rank(m_out) - linalg.rank(m_in)
+        if dim:
+            ai, bj, mono = piece.elements[0]
+            degree = sum(q * e for q, e in zip(weights, mono)) + gb[ai] - ga[bj]
+            dims[(parity, degree)] = dim
+    return dims
+
+
+@pytest.mark.parametrize("family", [
+    [graded_rank11(c, 3) for c in (1, 2)],
+    [graded_rank11(c, 4) for c in (1, 2, 3)],
+    [graded_rank11(c, 5) for c in (1, 2, 3, 4)],
+    _koszul_family((3, 3), graded=True),
+    _koszul_family((4, 2), graded=True),
+], ids=["x3", "x4", "x5", "x3+y3", "x4+y2"])
+def test_graded_serre_duality(family):
+    # graded Serre duality (Dyckerhoff, Duke 2011; Polishchuk-Vaintrob):
+    # dim H^P_d(Hom(A, B)) = dim H^{P+n}_{c/2-d}(Hom(B, A)), c = sum(1 - 2 q_i)
+    w = family[0].potential
+    weights = WeightSystem.of(w).weights
+    c_hat = sum(1 - 2 * q for q in weights)
+    n = w.ring.nvars
+    dims = {(i, j): _graded_dims(a, b)
+            for i, a in enumerate(family) for j, b in enumerate(family)}
+    for (i, j), forward in dims.items():
+        assert forward
+        dual = {((p + n) % 2, c_hat / 2 - d): dim for (p, d), dim in forward.items()}
+        assert dual == dims[(j, i)]

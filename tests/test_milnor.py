@@ -3,8 +3,9 @@ from fractions import Fraction
 
 from mflef import linalg
 from mflef.scalars import RootOfUnity, Scalar
-from mflef.polyring import PolyRing, hessian_determinant
+from mflef.polyring import PolyRing, WeightSystem, hessian_determinant
 from mflef.milnor import (
+    MilnorAlgebra,
     NonIsolatedError,
     canonical_pairing,
     milnor_data,
@@ -15,6 +16,8 @@ R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
 x = R1.var("x")
 x2, y2 = R2.var("x"), R2.var("y")
+R3 = PolyRing(("x", "y", "z"))
+x3, y3, z3 = R3.var("x"), R3.var("y"), R3.var("z")
 
 
 def test_milnor_data_examples():
@@ -155,3 +158,17 @@ def test_zero_variable_residue_is_identity():
     ts = trace_space(x**2, [RootOfUnity(2, 1)])
     ring0 = ts.milnor.ring
     assert ts.milnor.residue(ring0.const(Scalar.from_rational(7))) == 7
+
+
+@pytest.mark.parametrize("w", [
+    x**2, x**5, x2**3 + y2**3, x2**2 * y2 + y2**4, x2**2 * y2 + y2**7, x2**3 + y2**4,
+    x3**3 + y3**3 + z3**3, x3**4 + y3**4 + z3**4, x3**2 + y3**2 + z3**2,
+    x2**3 + x2 * y2**2, x2**2 * y2 + y2**3,
+], ids=str)
+def test_milnor_orlik_formula(w):
+    # Milnor-Orlik (Topology 1970): a quasi-homogeneous isolated singularity of
+    # weights q_i has Milnor number prod(1/q_i - 1)
+    expected = Fraction(1)
+    for q in WeightSystem.of(w).weights:
+        expected *= 1 / q - 1
+    assert MilnorAlgebra(w).milnor_number == expected
