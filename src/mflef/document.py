@@ -72,6 +72,7 @@ MAX_ZETA_ORDER = 100  # of zeta(m), and of each sum, product or quotient
 MAX_EXPONENT = 100
 MAX_DEGREE = 32  # total degree of a product or power
 MAX_POWER_BITS = 4096  # exponent times the bit length of the base's coefficients
+MAX_TERMS = 1000  # the most terms a product or power can expand to
 
 RESERVED_KEYS = {
     "name", "expr", "vars", "potential", "roots", "source", "target", "twist",
@@ -140,6 +141,19 @@ def _bound(tokens, what, value, limit):
     return value
 
 
+def _bound_terms(tokens, count, factors, exponent=1):
+    """Bound, before expanding, the terms of the product of `factors`, each
+    to the power `exponent`: at most `count`, and at most the monomials of
+    its degree range in the variables the factors use."""
+    if count <= MAX_TERMS:
+        return
+    used = sum(1 for column in zip(*(m for f in factors for m in f.terms)) if any(column))
+    low = exponent * sum(min(sum(m) for m in f.terms) for f in factors)
+    high = exponent * sum(max(sum(m) for m in f.terms) for f in factors)
+    monomials = math.comb(used + high, used) - (math.comb(used + low - 1, used) if low else 0)
+    _bound(tokens, "term count", min(count, monomials), MAX_TERMS)
+
+
 def _order(p: Polynomial) -> int:
     """The cyclotomic order that arithmetic on p's coefficients runs in."""
     return math.lcm(1, *(c.order for c in p.terms.values()))
@@ -169,6 +183,7 @@ def _parse_product(tokens, ring):
         order = _combined_order(tokens, order, rhs)
         if op == "*":
             _bound(tokens, "total degree", value.total_degree() + rhs.total_degree(), MAX_DEGREE)
+            _bound_terms(tokens, len(value.terms) * len(rhs.terms), (value, rhs))
             value = value * rhs
         else:
             if not rhs.is_constant() or rhs.is_zero():
@@ -197,6 +212,9 @@ def _parse_power(tokens, ring):
         if base.is_zero():
             raise DocumentError("negative powers need a nonzero scalar base", tokens.line)
         return ring.const(base.constant_term().inverse() ** exponent)
+    # each term of a power is a product of `exponent` terms of the base, in any order
+    _bound_terms(tokens, math.comb(max(len(base.terms) + exponent - 1, 0), exponent), (base,),
+                 exponent)
     return base**exponent
 
 

@@ -7,6 +7,10 @@ fixed priority is what makes the syzygy computation below an elimination.
 `term_key` is the one encoding of this order: the leading term of a vector is
 the term with the smallest key.  A `GroebnerBasis` indexes its generators by
 lead once, in `leads`, and every reduction reads that index.
+`buchberger` prunes its S-pairs by the Gebauer-Moeller criteria (the chain
+criterion B_k, the M and F steps, and for ideals the coprime test).  They
+change how many S-vectors are reduced, never the reduced basis, which is
+unique.
 All pair selection and reduction choices are deterministic, so reduced bases
 and everything derived from them are reproducible bit for bit.
 """
@@ -79,24 +83,6 @@ class Vec:
 
     def lead(self):
         return min(self.terms, key=term_key)
-
-    def scaled(self, coeff: Scalar, mono: Monomial):
-        terms = {}
-        for (comp, m), c in self.terms.items():
-            terms[(comp, monomial_mul(m, mono))] = c * coeff
-        return Vec(self.ring, self.rank, terms)
-
-    def sub_scaled(self, other, coeff: Scalar, mono: Monomial):
-        terms = dict(self.terms)
-        for (comp, m), c in other.terms.items():
-            key = (comp, monomial_mul(m, mono))
-            s = terms.get(key)
-            s = -(c * coeff) if s is None else s - c * coeff
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Vec(self.ring, self.rank, terms)
 
     def monic(self):
         if not self.terms:
@@ -222,8 +208,37 @@ def _full_reduce(vec: Vec, gens, leads, with_quotients=False):
     return rem
 
 
+def _s_vector(gi: Vec, qi: Monomial, gj: Vec, qj: Monomial) -> Vec:
+    """qi * gi - qj * gj for monic gi, gj; their leads cancel."""
+    terms = {(comp, monomial_mul(m, qi)): c for (comp, m), c in gi.terms.items()}
+    for (comp, m), c in gj.terms.items():
+        key = (comp, monomial_mul(m, qj))
+        old = terms.pop(key, None)
+        if old is None:
+            terms[key] = -c
+        else:
+            diff = old - c
+            if not diff.is_zero():
+                terms[key] = diff
+    return Vec(gi.ring, gi.rank, terms)
+
+
 def buchberger(generators, rank=None) -> GroebnerBasis:
-    """Reduced Groebner basis; normal selection strategy (lowest lcm first)."""
+    """Reduced Groebner basis; normal selection strategy (lowest lcm first).
+
+    S-pairs join leads in one component only.  Each new generator updates
+    the pairs as Gebauer & Moeller do (JSC 6, 1988):
+    - the chain criterion B_k drops a queued pair whose lcm the new lead
+      divides with a different lcm against each of the pair's two leads;
+    - the M and F steps keep, of the new pairs, those of minimal lcm and one
+      of equal lcms;
+    - for ideals, a pair of coprime leads is dropped (Buchberger's first
+      criterion); in a module that test is not valid.
+    A dropped pair's S-vector has a standard representation through the
+    pairs kept, so the loop still ends with a Groebner basis of the same
+    submodule.  The reduced basis of a submodule is unique, so the criteria
+    change only how many S-vectors are reduced, never the result.
+    """
     items = [_coerce_vec(g, rank) for g in generators]
     items = [v for v in items if not v.is_zero()]
     if not items:
@@ -233,25 +248,48 @@ def buchberger(generators, rank=None) -> GroebnerBasis:
     ring = items[0].ring
     rank = items[0].rank
     gb = GroebnerBasis(ring, rank, [])
-    pairs: list = []  # heap of (lcm key, push count, i, lcm / lead_i, j, lcm / lead_j)
+    pairs: list = []  # heap of (lcm key, push count, component)
+    queued: dict = {}  # component -> {push count: (lcm, lead_i, i, lead_j, j)}
     pushes = itertools.count()
 
     def add(v):
+        """Append v monic and update the pairs by the criteria above."""
         new = len(gb)
         comp, mono = gb.append(v.monic())
+        live = queued.setdefault(comp, {})
+        # chain criterion B_k, on the queued pairs of this component only
+        for n, (lcm, mono_i, _, mono_j, _) in list(live.items()):
+            if (monomial_divides(mono, lcm) and monomial_lcm(mono_i, mono) != lcm
+                    and monomial_lcm(mono_j, mono) != lcm):
+                del live[n]
+        # M and F; among equal lcms an ideal's coprime pair comes first, and it
+        # is then dropped, since its S-polynomial reduces to zero
+        new_pairs = []
         for old_mono, old in gb.leads[comp][:-1]:
             lcm = monomial_lcm(old_mono, mono)
-            if rank == 1 and monomial_mul(old_mono, mono) == lcm:
-                continue  # coprime leads: S-polynomial reduces to zero (ideal case)
-            heapq.heappush(pairs, (degrevlex_key(lcm), next(pushes), old,
-                                   monomial_div(lcm, old_mono), new, monomial_div(lcm, mono)))
+            coprime = rank == 1 and monomial_mul(old_mono, mono) == lcm
+            new_pairs.append((lcm, old_mono, old, coprime))
+        new_pairs.sort(key=lambda pair: not pair[3])  # coprime pairs first
+        for k, (lcm, old_mono, old, coprime) in enumerate(new_pairs):
+            if coprime or any(
+                k2 != k and monomial_divides(other, lcm) and (other != lcm or k2 < k)
+                for k2, (other, _, _, _) in enumerate(new_pairs)
+            ):
+                continue
+            n = next(pushes)
+            live[n] = (lcm, old_mono, old, mono, new)
+            heapq.heappush(pairs, (degrevlex_key(lcm), n, comp))
 
     for v in items:
         add(v)
     while pairs:
-        _, _, i, qi, j, qj = heapq.heappop(pairs)
+        _, n, comp = heapq.heappop(pairs)
+        pair = queued[comp].pop(n, None)
+        if pair is None:
+            continue  # dropped by the chain criterion
+        lcm, mono_i, i, mono_j, j = pair
         gens = gb.generators
-        s = gens[i].scaled(Scalar.one(), qi).sub_scaled(gens[j], Scalar.one(), qj)
+        s = _s_vector(gens[i], monomial_div(lcm, mono_i), gens[j], monomial_div(lcm, mono_j))
         rem = _full_reduce(s, gens, gb.leads)
         if not rem.is_zero():
             add(rem)

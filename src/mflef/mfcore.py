@@ -526,8 +526,11 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
 
     Returns (mf, alpha): alpha is the transferred Z/2-equivariant structure
     diag((-1)^(internal degree)) when deg w is even (else None).  Solving in
-    graded-homogeneous unknowns makes alpha closed automatically.
+    graded-homogeneous unknowns makes alpha closed automatically; it needs w
+    homogeneous in the standard grading of the resolution.
     """
+    if len({sum(m) for m in w.terms}) > 1:
+        raise ValueError("the potential is not homogeneous in the standard grading")
     if not _annihilates(w, pres):
         raise ValueError("the potential does not annihilate the module")
     res = free_resolution(pres)

@@ -359,7 +359,7 @@ def test_unwritable_json_path_is_input_error(tmp_path):
 
 
 # One step past each parser limit: MAX_NESTING, MAX_ZETA_ORDER, MAX_EXPONENT,
-# MAX_DEGREE and MAX_POWER_BITS of mflef.document.
+# MAX_DEGREE, MAX_POWER_BITS and MAX_TERMS of mflef.document.
 NESTED_POTENTIAL = "[potential]\nw = {expr}\n"
 
 
@@ -385,6 +385,12 @@ vars = x, y
 w = x^3 + y^3 + {expr}
 """
 
+BOUNDED_FIVE_VARIABLES = """
+[potential]
+vars = x, y, z, u, v
+w = x^3 + y^3 + z^3 + u^3 + v^3 + {expr}
+"""
+
 BOUNDED_ROOTS = """
 [potential]
 w = x^3
@@ -408,10 +414,46 @@ roots = zeta(101)^[1]
     # 2^240 has 241 bits and 17 * 241 = 4097
     (BOUNDED_POTENTIAL.format(expr="((2^80)^3)^17"),
      "line 4: power bit size 4097 exceeds the limit 4096"),
+    # there are C(14, 4) = 1001 monomials of degree 10 in five variables
+    (BOUNDED_FIVE_VARIABLES.format(expr="(x+y+z+u+v)^10"),
+     "line 4: term count 1001 exceeds the limit 1000"),
+    (BOUNDED_FIVE_VARIABLES.format(expr="(x+y+z+u+v)^5*(x+y+z+u+v)^5"),
+     "line 4: term count 1001 exceeds the limit 1000"),
 ], ids=["zeta-order", "roots-order", "combined-order", "exponent", "power-degree",
-        "product-degree", "power-bits"])
+        "product-degree", "power-bits", "power-terms", "product-terms"])
 def test_work_bounds_are_input_errors(text, message, tmp_path, capsys):
     doc = tmp_path / "big.mflef"
     doc.write_text(text)
     assert _run(["milnor", "w", "-i", str(doc)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+NON_HOMOGENEOUS_STABILIZE = """
+[potential]
+name = w
+vars = x, y
+expr = x^4 + y^2
+
+[module]
+name = M
+vars = x, y
+degrees = 0
+relations = { x^2 ; y }
+"""
+
+
+def test_stabilize_needs_a_homogeneous_potential(tmp_path):
+    # the stabilization solves in the standard grading; a potential that is
+    # not homogeneous there is an input the method does not cover (exit 2),
+    # not a failed internal check (exit 3)
+    doc = tmp_path / "stabilize.mflef"
+    doc.write_text(NON_HOMOGENEOUS_STABILIZE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflef.cli", "stabilize", "M", "w", "-i", str(doc)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: the potential is not homogeneous in the standard grading"
+    ]
+    assert "Traceback" not in proc.stderr

@@ -188,3 +188,25 @@ def test_str_deterministic():
     assert str(f) == "-y^3 + 2*x*y + 1"
     zeta = Scalar.zeta(3)
     assert str((1 - zeta) * x) == "(1 - zeta(3))*x"
+
+
+def test_power_multiplies_only_as_often_as_needed(monkeypatch):
+    # square-and-multiply: one squaring per bit after the first and one
+    # product per set bit, never a square past the top bit
+    R2 = PolyRing(("x", "y"))
+    base = R2.var("x") + R2.var("y")
+    mul = type(base).__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for exponent in range(1, 10):
+        expected = mul(base, base ** (exponent - 1)) if exponent > 1 else base
+        calls.clear()
+        monkeypatch.setattr(type(base), "__mul__", counted)
+        value = base**exponent
+        monkeypatch.setattr(type(base), "__mul__", mul)
+        assert value == expected
+        assert len(calls) == exponent.bit_length() - 1 + bin(exponent).count("1")
