@@ -20,7 +20,8 @@ Commands and their positional arguments:
 
 A verification command may also be given a single case name declared in the
 document with the same command.  Exit status: 0 when every report passes,
-1 when an identity fails, 2 on input errors, 3 when an internal check fails.
+1 when an identity fails, 2 on input errors, 3 when an internal check fails
+or a KeyError, IndexError or TypeError escapes.
 Text output carries no timing and is byte-identical across runs; --json
 output includes microsecond timings.
 """
@@ -357,6 +358,10 @@ def main(argv=None) -> int:
         # a broken internal invariant (an engine disagreement included) is
         # neither a verdict nor an input error
         print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
+    except (KeyError, IndexError, TypeError) as exc:
+        # a lookup or type error escaping the engines is a bug, not a verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     for line in lines:

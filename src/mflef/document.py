@@ -73,6 +73,8 @@ MAX_EXPONENT = 100
 MAX_DEGREE = 32  # total degree of a product or power
 MAX_POWER_BITS = 4096  # exponent times the bit length of the base's coefficients
 MAX_TERMS = 1000  # the most terms a product or power can expand to
+MAX_VARIABLES = 8  # of a potential or a module
+MAX_RANK = 16  # rows, and entries of a row, of a matrix block; generators of a module
 
 RESERVED_KEYS = {
     "name", "expr", "vars", "potential", "roots", "source", "target", "twist",
@@ -135,9 +137,9 @@ def _parse_expression(tokens: _Tokens, ring: PolyRing) -> Polynomial:
     return expr
 
 
-def _bound(tokens, what, value, limit):
+def _bound(line, what, value, limit):
     if value > limit:
-        raise DocumentError(f"{what} {value} exceeds the limit {limit}", tokens.line)
+        raise DocumentError(f"{what} {value} exceeds the limit {limit}", line)
     return value
 
 
@@ -151,7 +153,7 @@ def _bound_terms(tokens, count, factors, exponent=1):
     low = exponent * sum(min(sum(m) for m in f.terms) for f in factors)
     high = exponent * sum(max(sum(m) for m in f.terms) for f in factors)
     monomials = math.comb(used + high, used) - (math.comb(used + low - 1, used) if low else 0)
-    _bound(tokens, "term count", min(count, monomials), MAX_TERMS)
+    _bound(tokens.line, "term count", min(count, monomials), MAX_TERMS)
 
 
 def _order(p: Polynomial) -> int:
@@ -160,7 +162,7 @@ def _order(p: Polynomial) -> int:
 
 
 def _combined_order(tokens, order, rhs):
-    return _bound(tokens, "cyclotomic order", math.lcm(order, _order(rhs)), MAX_ZETA_ORDER)
+    return _bound(tokens.line, "cyclotomic order", math.lcm(order, _order(rhs)), MAX_ZETA_ORDER)
 
 
 def _parse_sum(tokens, ring):
@@ -182,7 +184,8 @@ def _parse_product(tokens, ring):
         rhs = _parse_power(tokens, ring)
         order = _combined_order(tokens, order, rhs)
         if op == "*":
-            _bound(tokens, "total degree", value.total_degree() + rhs.total_degree(), MAX_DEGREE)
+            degree = value.total_degree() + rhs.total_degree()
+            _bound(tokens.line, "total degree", degree, MAX_DEGREE)
             _bound_terms(tokens, len(value.terms) * len(rhs.terms), (value, rhs))
             value = value * rhs
         else:
@@ -201,11 +204,11 @@ def _parse_power(tokens, ring):
     if tokens.peek()[0] == "-":
         tokens.next()
         negative = True
-    exponent = _bound(tokens, "exponent", tokens.expect("num")[1], MAX_EXPONENT)
-    _bound(tokens, "total degree", base.total_degree() * exponent, MAX_DEGREE)
+    exponent = _bound(tokens.line, "exponent", tokens.expect("num")[1], MAX_EXPONENT)
+    _bound(tokens.line, "total degree", base.total_degree() * exponent, MAX_DEGREE)
     bits = max((abs(n).bit_length() for c in base.terms.values() for n in c.num + (c.den,)),
                default=0)
-    _bound(tokens, "power bit size", exponent * bits, MAX_POWER_BITS)
+    _bound(tokens.line, "power bit size", exponent * bits, MAX_POWER_BITS)
     if negative:
         if not base.is_constant():
             raise DocumentError("negative powers need a scalar base", tokens.line)
@@ -223,7 +226,7 @@ def _parse_atom(tokens, ring):
     if kind == "num":
         return ring.const(value)
     if kind in ("-", "+", "("):
-        tokens.depth = _bound(tokens, "nesting depth", tokens.depth + 1, MAX_NESTING)
+        tokens.depth = _bound(tokens.line, "nesting depth", tokens.depth + 1, MAX_NESTING)
         if kind == "(":
             inner = _parse_sum(tokens, ring)
             tokens.expect(")")
@@ -249,7 +252,7 @@ def _zeta_order(tokens):
     tokens.expect(")")
     if order < 1:
         raise DocumentError("zeta needs a positive order", tokens.line)
-    return _bound(tokens, "zeta order", order, MAX_ZETA_ORDER)
+    return _bound(tokens.line, "zeta order", order, MAX_ZETA_ORDER)
 
 
 def parse_polynomial(text: str, ring: PolyRing, line=None) -> Polynomial:
@@ -284,6 +287,12 @@ def parse_symmetry_literal(text: str, nvars: int, line=None):
             )
         return tuple(RootOfUnity(order, e) for e in exponents)
     raise DocumentError("symmetry literal must be zeta(m)^[...]", line)
+
+
+def _variable_list(entry):
+    """(names, line) of a `vars = x, y, ...` entry."""
+    value, line = entry
+    return tuple(v.strip() for v in value.split(",") if v.strip()), line
 
 
 def _variables_in_order(text: str, line=None):
@@ -402,10 +411,13 @@ def _collect_entries(section):
 
 
 def _parse_matrix(rows, ring, line):
+    if len(rows) > MAX_RANK:
+        _bound(rows[MAX_RANK][0], "matrix row count", len(rows), MAX_RANK)
     matrix = []
     width = None
     for lineno, row in rows:
         cells = [c.strip() for c in row.split(";")]
+        _bound(lineno, "matrix column count", len(cells), MAX_RANK)
         parsed = [parse_polynomial(c, ring, lineno) for c in cells]
         if width is None:
             width = len(parsed)
@@ -486,11 +498,12 @@ def _load_potential(doc, data, free, line):
     if isinstance(expr_value, list):
         raise DocumentError("potential expression cannot be a matrix", expr_line)
     if "vars" in data:
-        var_names = tuple(v.strip() for v in data["vars"][0].split(",") if v.strip())
+        var_names, vars_line = _variable_list(data["vars"])
     else:
-        var_names = _variables_in_order(expr_value, expr_line)
+        var_names, vars_line = _variables_in_order(expr_value, expr_line), expr_line
     if not var_names:
         raise DocumentError("potential has no variables", expr_line)
+    _bound(vars_line, "variable count", len(var_names), MAX_VARIABLES)
     ring = PolyRing(var_names)
     poly = parse_polynomial(expr_value, ring, expr_line)
     if name in doc.potentials:
@@ -596,7 +609,8 @@ def _load_morphism(doc, data, free, line):
 def _load_module(doc, data, free, line):
     name, _ = _get_name(doc, data, free, line, "module")
     if "vars" in data:
-        var_names = tuple(v.strip() for v in data["vars"][0].split(",") if v.strip())
+        var_names, vars_line = _variable_list(data["vars"])
+        _bound(vars_line, "variable count", len(var_names), MAX_VARIABLES)
         ring = PolyRing(var_names)
     elif len(doc.potentials) == 1:
         ring = next(iter(doc.potentials.values())).ring
@@ -605,6 +619,7 @@ def _load_module(doc, data, free, line):
     if "degrees" not in data:
         raise DocumentError("module needs generator degrees", line)
     degrees = _parse_fraction_list(data["degrees"][0], line)
+    _bound(data["degrees"][1], "generator count", len(degrees), MAX_RANK)
     if any(d.denominator != 1 for d in degrees):
         raise DocumentError("module degrees must be integers", line)
     relations = []

@@ -8,7 +8,10 @@ phi -> beta o t^*(phi) o alpha:
   one-step reduction of cocycles to coordinates (see CohomologyBasis);
 * the graded Euler engine works degree by degree: for each internal degree of
   a quasi-homogeneous Hom complex the trace on the cohomology subquotient of
-  the finite three-term strand is plain scalar linear algebra.
+  the finite three-term strand is plain scalar linear algebra.  The strands,
+  their kernels and their images depend on the pair alone; they are reduced
+  on a pair's first request and kept on the source factorization
+  (pair_strands), so a later twist of the pair builds only its twist matrices.
 
 They are independent; the corpus runner cross-checks them.
 """
@@ -402,6 +405,8 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
     C^{1-P}_{d+s} is a finite scalar complex preserved by the twisted
     endomorphism; the trace on its middle cohomology is computed directly and
     summed over the default window (outside of which cohomology vanishes).
+    The strands depend on (a, b) alone and are reduced once per pair (see
+    pair_strands); a call builds only its twist matrices.
     """
     weights, shift = _weights_and_shift(a, b)
     ga, gb = a.grading_list(), b.grading_list()
@@ -414,13 +419,33 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
         return Scalar.zero()
     if (alpha.parity + beta.parity) % 2:
         raise ValueError("parity-reversing twists have no supertrace")
-    scales = [as_scalar(s) for s in t]
+    powers = [[Scalar.one(), as_scalar(s)] for s in t]  # t_i^e, extended as needed
     total = Scalar.zero()
-    for parity, piece, m_out, m_in in _strands(a, b, weights, shift):
-        t_mat = _twist_matrix(a, b, piece, scales, alpha, beta, a.ring)
-        tr = _subquotient_trace(m_out, m_in, t_mat)
-        total = total + (tr if parity == 0 else -tr)
+    for strand in pair_strands(a, b, weights, shift):
+        t_mat = _twist_matrix(a, b, strand.piece, powers, alpha, beta)
+        tr = _subquotient_trace(strand, t_mat)
+        total = total + (tr if strand.parity == 0 else -tr)
     return total
+
+
+def pair_strands(a, b, weights, shift):
+    """The reduced strands of (a, b), kept from the pair's first request on.
+
+    They are kept on a, keyed on id(b), in the entry of a._hom_memo that also
+    holds b and lefschetz.pair_cohomology's basis: id(b) cannot be reused
+    while the entry lives, and an equal but distinct b gets its own entry.
+    Unlike a basis, strands are admitted on the first request: a document
+    twists most of its graded pairs more than once, and strands are small.
+    They hold scalars and monomials only, so for a != b the entry holds no
+    reference back to a and goes when a goes, with no cyclic collection.
+    """
+    entry = a._hom_memo.get(id(b))
+    if entry is not None and entry[2] is not None:
+        return entry[2]
+    reduced = (GradedStrand(*strand) for strand in _strands(a, b, weights, shift))
+    strands = tuple(s for s in reduced if s.free)  # no kernel: no trace, no twist to check
+    a._hom_memo[id(b)] = (b, None if entry is None else entry[1], strands)
+    return strands
 
 
 def graded_cohomology_dimensions(a, b):
@@ -471,7 +496,12 @@ def _d_matrix(a, b, src: GradedHomPiece, dst: GradedHomPiece, parity, ring):
     return rows
 
 
-def _twist_matrix(a, b, piece: GradedHomPiece, scales, alpha, beta, ring):
+def _twist_matrix(a, b, piece: GradedHomPiece, powers, alpha, beta):
+    """Scalar matrix of the twisted endomorphism on one degree piece.
+
+    powers[i][e] is t_i^e; the table is shared by a call's strands and grows
+    as a monomial needs a higher power.
+    """
     pa, pb = a.parities(), b.parities()
     rows = linalg.zeros(len(piece.elements), len(piece.elements))
     for col, (ai, bj, mono) in enumerate(piece.elements):
@@ -479,9 +509,11 @@ def _twist_matrix(a, b, piece: GradedHomPiece, scales, alpha, beta, ring):
         # Koszul sign for moving the element past the (odd) post-twist
         if beta.parity and (pb[ai] + pa[bj]) % 2:
             factor = Scalar.from_rational(-1)
-        for t, e in zip(scales, mono):
+        for power, e in zip(powers, mono):
             if e:
-                factor = factor * t**e
+                while len(power) <= e:
+                    power.append(power[-1] * power[1])
+                factor = factor * power[e]
         for i in range(b.total_rank):
             beta_entry = beta.matrix[i][ai]
             if beta_entry.is_zero():
@@ -503,36 +535,60 @@ def _twist_matrix(a, b, piece: GradedHomPiece, scales, alpha, beta, ring):
     return rows
 
 
-def _subquotient_trace(m_out, m_in, t_mat):
-    """Trace of t_mat on ker(m_out)/im(m_in); t_mat must preserve both.
+class GradedStrand:
+    """One strand C^{1-P}_{d-s} -> C^P_d -> C^{1-P}_{d+s}, reduced for traces.
 
-    The nullspace basis vector of a free column of m_out is 1 there and 0 on
-    the other free columns.  So a kernel vector u equals the sum of u[f] times
-    the basis vector of f over the free columns f: the difference lies in the
-    kernel and vanishes on every free column, and the reduced rows of m_out
-    then force its pivot entries to 0 too.  Kernel coordinates are thus read
-    off the free columns, with no solve.  In those coordinates Z is the twist
-    and the image is spanned by reduced rows S_i with pivot columns Q_i; an
-    image vector x equals the sum of x[Q_i] S_i, so the trace on the image is
-    the sum of (Z S_i)[Q_i].
+    What a trace on ker(m_out)/im(m_in) needs of the strand alone, computed
+    once: the nullspace basis of m_out as the columns of `kernel`, the free
+    column of each basis vector in `free`, and the reduced echelon rows of
+    the image in kernel coordinates (`image`) with their pivot columns
+    (`pivots`).  The nullspace basis vector of a free column is 1 there and 0
+    on the other free columns.  So a kernel vector u equals the sum of u[f]
+    times the basis vector of f over the free columns f: the difference lies
+    in the kernel and vanishes on every free column, and the reduced rows of
+    m_out then force its pivot entries to 0 too.  Kernel coordinates are thus
+    read off the free columns, with no solve.  Building a strand checks that
+    the image lies in the kernel.
     """
-    n = len(t_mat)
-    kernel = linalg.nullspace(m_out) if m_out else linalg.identity(n)
-    if not kernel:
-        return Scalar.zero()
-    free = [max(i for i, c in enumerate(v) if not c.is_zero()) for v in kernel]
-    tk = linalg.mat_mul(t_mat, [list(col) for col in zip(*kernel)])  # column j = T v_j
-    if any(not e.is_zero() for row in linalg.mat_mul(m_out, tk) for e in row):
+
+    __slots__ = ("parity", "piece", "kernel", "free", "image", "pivots")
+
+    def __init__(self, parity, piece, m_out, m_in):
+        self.parity, self.piece = parity, piece
+        basis = linalg.nullspace(m_out) if m_out else linalg.identity(len(m_in))
+        self.free = [max(i for i, c in enumerate(v) if not c.is_zero()) for v in basis]
+        self.kernel = [list(col) for col in zip(*basis)]  # column j = v_j
+        self.image, self.pivots = [], []
+        if not (basis and m_in and m_in[0]):
+            return
+        if any(not e.is_zero() for row in linalg.mat_mul(m_out, m_in) for e in row):
+            raise AssertionError("image does not lie in the kernel")
+        self.image, self.pivots = linalg.echelon_form(
+            [[m_in[f][j] for f in self.free] for j in range(len(m_in[0]))])
+
+
+def _subquotient_trace(strand: GradedStrand, t_mat):
+    """Trace of t_mat on the strand's ker(m_out)/im(m_in); t_mat must preserve both.
+
+    With K the kernel basis as columns, T v_j lies in the kernel exactly when
+    it is the sum of (T v_j)[f] v_f over the free columns f, that is, when
+    T K = K Z for Z the rows of T K at the free columns: Z is then the twist
+    in kernel coordinates.  The image is spanned by the reduced rows S_i with
+    pivot columns Q_i; an image vector x equals the sum of x[Q_i] S_i, so the
+    trace on the image is the sum of (Z S_i)[Q_i].  Both preservation checks
+    depend on the twist, so they run on every call.
+    """
+    free = strand.free
+    tk = linalg.mat_mul(t_mat, strand.kernel, cols=len(free))  # column j = T v_j
+    z = [tk[f] for f in free]
+    if linalg.mat_mul(strand.kernel, z, cols=len(free)) != tk:
         raise AssertionError("twist does not preserve the kernel")
-    z = [tk[f] for f in free]  # the twist in kernel coordinates
     trace = sum((z[i][i] for i in range(len(free))), Scalar.zero())
-    if not (m_in and m_in[0]):
+    s_rows = strand.image
+    if not s_rows:
         return trace
-    if any(not e.is_zero() for row in linalg.mat_mul(m_out, m_in) for e in row):
-        raise AssertionError("image does not lie in the kernel")
-    s_rows, q_cols = linalg.echelon_form([[m_in[f][j] for f in free] for j in range(len(m_in[0]))])
     zs = linalg.mat_mul(s_rows, [list(col) for col in zip(*z)])  # row i = Z S_i
-    coords = [[v[q] for q in q_cols] for v in zs]
+    coords = [[v[q] for q in strand.pivots] for v in zs]
     if linalg.mat_mul(coords, s_rows) != zs:
         raise AssertionError("twist does not preserve the image")
     return trace - sum((coords[i][i] for i in range(len(coords))), Scalar.zero())

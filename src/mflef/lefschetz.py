@@ -153,21 +153,24 @@ def pair_cohomology(a: MatrixFactorization, b: MatrixFactorization) -> Cohomolog
     """cohomology(hom_complex(a, b)), reused across requests for the same objects.
 
     The basis depends on the pair alone, so a verifier that twists it by many
-    (t, alpha, beta) needs it once.  It is kept on a, keyed on id(b); the entry
-    holds b itself, so id(b) cannot be reused while the entry lives, and an
-    equal but distinct b gets its own entry.  A pair is admitted on its second
-    request: the first stores only a marker, so a pair used once keeps no
-    basis alive.  Under threads, the worst case is a duplicate computation.
+    (t, alpha, beta) needs it once.  It is kept on a, keyed on id(b), in the
+    entry (b, basis, graded strands) that it shares with the graded engine's
+    homcoh.pair_strands; the entry holds b itself, so id(b) cannot be reused
+    while the entry lives, and an equal but distinct b gets its own entry.  A
+    basis is admitted on the pair's second request, by either engine: the
+    first leaves only the entry, so a pair used once keeps no basis alive.
+    (The graded strands are cheaper to keep and are admitted on the first.)
+    Under threads, the worst case is a duplicate computation.
 
     A kept basis refers back to a (a._hom_memo -> basis -> HomComplex -> a),
-    and so does the marker of a pair (a, a).  Such an entry is freed by the
+    and so does any entry of a pair (a, a).  Such an entry is freed by the
     cyclic garbage collector, not when the last outside reference goes.
     """
     entry = a._hom_memo.get(id(b))
     if entry is not None and entry[1] is not None:
         return entry[1]
     basis = cohomology(hom_complex(a, b))
-    a._hom_memo[id(b)] = (b, None if entry is None else basis)
+    a._hom_memo[id(b)] = (b, None, None) if entry is None else (b, basis, entry[2])
     return basis
 
 

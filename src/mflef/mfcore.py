@@ -55,9 +55,11 @@ def _place(out, block, top, left):
 class MatrixFactorization:
     """Z/2-graded free module with an odd operator squaring to w.
 
-    `_full` caches full_matrix().  `_hom_memo` belongs to lefschetz.pair_cohomology:
-    it maps id(target) to (target, basis or None) for the pairs (self, target).
-    Neither is pickled or copied.
+    `_full` caches full_matrix().  `_hom_memo` maps id(target) to the entry
+    (target, basis or None, graded strands or None) of the pair (self, target):
+    lefschetz.pair_cohomology keeps a Groebner basis there from the pair's
+    second request on, and homcoh.pair_strands the graded engine's reduced
+    strands from the first.  Neither is pickled or copied.
     """
 
     __slots__ = ("ring", "potential", "r0", "r1", "d0", "d1", "gradings", "_full", "_hom_memo")

@@ -331,7 +331,7 @@ def test_degenerate_scalar_literal_is_input_error(text, message, tmp_path):
 def test_internal_check_failure_exits_three(monkeypatch, capsys):
     # a broken invariant inside an engine is neither a verdict (1) nor an
     # input error (2): one `error: internal:` line and exit 3, no traceback
-    def broken(m_out, m_in, t_mat):
+    def broken(strand, t_mat):
         raise AssertionError("twist does not preserve the kernel")
 
     monkeypatch.setattr("mflef.homcoh._subquotient_trace", broken)
@@ -340,6 +340,44 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     assert captured.err.splitlines() == ["error: internal: twist does not preserve the kernel"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (KeyError("piece"), "error: internal: KeyError: 'piece'"),
+    (IndexError("list index out of range"), "error: internal: IndexError: list index out of range"),
+    (TypeError("unsupported operand"), "error: internal: TypeError: unsupported operand"),
+], ids=["key", "index", "type"])
+def test_escaped_lookup_or_type_error_exits_three(exc, line, monkeypatch, capsys):
+    # exit 1 is reserved for an identity violation; a bug that escapes as
+    # one of these errors is reported like a failed internal check
+    def broken(strand, t_mat):
+        raise exc
+
+    monkeypatch.setattr("mflef.homcoh._subquotient_trace", broken)
+    code = _run(["corpus", "-i", str(FIXTURES / "a2.mflef"), "--engine", "graded"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines() == [line]
+    assert "Traceback" not in captured.err
+
+
+def test_graded_corpus_reduces_each_strand_once(monkeypatch, capsys):
+    # a2.mflef makes three graded calls on one pair (A, A), whose window
+    # holds 11 strands: each is reduced on the first call and reused by the
+    # other two.  Reducing every strand on every call made 33 nullspace calls.
+    from mflef import linalg
+
+    calls = []
+    original = linalg.nullspace
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    assert _run(["corpus", "-i", str(FIXTURES / "a2.mflef"), "--engine", "graded"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "a2.out").read_text()
+    assert len(calls) <= 11
 
 
 def test_unwritable_json_path_is_input_error(tmp_path):
@@ -359,7 +397,8 @@ def test_unwritable_json_path_is_input_error(tmp_path):
 
 
 # One step past each parser limit: MAX_NESTING, MAX_ZETA_ORDER, MAX_EXPONENT,
-# MAX_DEGREE, MAX_POWER_BITS and MAX_TERMS of mflef.document.
+# MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS, MAX_VARIABLES and MAX_RANK of
+# mflef.document.
 NESTED_POTENTIAL = "[potential]\nw = {expr}\n"
 
 
@@ -402,6 +441,34 @@ roots = zeta(101)^[1]
 """
 
 
+# MAX_VARIABLES is 8 and MAX_RANK 16.  The largest values in the tests,
+# fixtures, demos and benchmark documents are 5 variables, 8 rows or entries
+# of a matrix block and 2 module generators.
+NINE_VARIABLES = ", ".join(f"x{i}" for i in range(1, 10))
+NINE_CUBES = " + ".join(f"x{i}^3" for i in range(1, 10))
+SEVENTEEN = "; ".join(["x"] * 17)
+
+BOUNDED_MATRIX = """[potential]
+w = x^2
+
+[mf]
+name = A
+d0 = {{
+{rows}
+}}
+d1 = {{ x }}
+"""
+
+BOUNDED_MODULE = """[potential]
+w = x^2
+
+[module]
+name = M
+vars = {variables}
+degrees = {degrees}
+"""
+
+
 @pytest.mark.parametrize("text, message", [
     (BOUNDED_POTENTIAL.format(expr="zeta(101)"), "line 4: zeta order 101 exceeds the limit 100"),
     (BOUNDED_ROOTS, "line 8: zeta order 101 exceeds the limit 100"),
@@ -419,8 +486,20 @@ roots = zeta(101)^[1]
      "line 4: term count 1001 exceeds the limit 1000"),
     (BOUNDED_FIVE_VARIABLES.format(expr="(x+y+z+u+v)^5*(x+y+z+u+v)^5"),
      "line 4: term count 1001 exceeds the limit 1000"),
+    (f"[potential]\nvars = {NINE_VARIABLES}\nw = {NINE_CUBES}\n",
+     "line 2: variable count 9 exceeds the limit 8"),
+    (f"[potential]\nw = {NINE_CUBES}\n", "line 2: variable count 9 exceeds the limit 8"),
+    (BOUNDED_MODULE.format(variables=NINE_VARIABLES, degrees="0"),
+     "line 6: variable count 9 exceeds the limit 8"),
+    (BOUNDED_MATRIX.format(rows="\n".join(["x"] * 17)),
+     "line 23: matrix row count 17 exceeds the limit 16"),
+    (BOUNDED_MATRIX.format(rows=SEVENTEEN), "line 7: matrix column count 17 exceeds the limit 16"),
+    (BOUNDED_MODULE.format(variables="x", degrees=", ".join(["0"] * 17)),
+     "line 7: generator count 17 exceeds the limit 16"),
 ], ids=["zeta-order", "roots-order", "combined-order", "exponent", "power-degree",
-        "product-degree", "power-bits", "power-terms", "product-terms"])
+        "product-degree", "power-bits", "power-terms", "product-terms", "variables",
+        "inferred-variables", "module-variables", "matrix-rows", "matrix-columns",
+        "module-generators"])
 def test_work_bounds_are_input_errors(text, message, tmp_path, capsys):
     doc = tmp_path / "big.mflef"
     doc.write_text(text)

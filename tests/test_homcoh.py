@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,14 @@ import mflef.homcoh
 from mflef import linalg
 from mflef.scalars import RootOfUnity, Scalar
 from mflef.polyring import PolyRing, WeightSystem, partial_derivative
-from mflef.mfcore import MFMorphism, MatrixFactorization, koszul_mf, pullback
+from mflef.mfcore import (
+    MFMorphism,
+    MatrixFactorization,
+    koszul_mf,
+    odd_rank11_generator,
+    pullback,
+)
+from mflef.lefschetz import lhs_hlf, pair_cohomology
 from mflef.homcoh import (
     cohomology,
     euler_characteristic,
@@ -301,7 +310,8 @@ M_IN = _q([[1], [0], [0]])
     [[2, 7, 11], [0, 3, 13], [0, 0, 5]],
 ], ids=["diagonal", "upper-triangular"])
 def test_subquotient_trace_reads_the_quotient(twist):
-    assert mflef.homcoh._subquotient_trace(M_OUT, M_IN, _q(twist)) == 3
+    strand = mflef.homcoh.GradedStrand(0, None, M_OUT, M_IN)
+    assert mflef.homcoh._subquotient_trace(strand, _q(twist)) == 3
 
 
 @pytest.mark.parametrize("m_in, twist, message", [
@@ -310,8 +320,11 @@ def test_subquotient_trace_reads_the_quotient(twist):
     (M_IN, [[2, 0, 0], [1, 3, 0], [0, 0, 5]], "twist does not preserve the image"),
 ], ids=["kernel", "image-in-kernel", "image"])
 def test_subquotient_trace_checks_its_invariants(m_in, twist, message):
+    # the image check runs when the strand is reduced, the twist checks on
+    # every trace
     with pytest.raises(AssertionError, match=message):
-        mflef.homcoh._subquotient_trace(M_OUT, m_in, _q(twist))
+        mflef.homcoh._subquotient_trace(mflef.homcoh.GradedStrand(0, None, M_OUT, m_in),
+                                        _q(twist))
 
 
 # -- theorem oracle: the Jacobian ideal acts by zero on H(Hom(A, B)) -----------
@@ -407,3 +420,125 @@ def test_graded_serre_duality(family):
         assert forward
         dual = {((p + n) % 2, c_hat / 2 - d): dim for (p, d), dim in forward.items()}
         assert dual == dims[(j, i)]
+
+
+# -- graded engine: strands reduced once per (A, B) pair -------------------------
+
+
+def _count_strands(monkeypatch):
+    calls = []
+    original = mflef.homcoh._strands
+
+    def counted(a, b, weights, shift):
+        calls.append((a, b))
+        return original(a, b, weights, shift)
+
+    monkeypatch.setattr(mflef.homcoh, "_strands", counted)
+    return calls
+
+
+def _natural_twists(a, a_exp, b, b_exp, d):
+    """(t, alpha, beta) for every zeta_d^j, with the natural structures of the
+    rank-(1,1) factorizations a = (x^a_exp, ...) and b = (x^b_exp, ...)."""
+    twists = []
+    for j in range(1, d):
+        z = RootOfUnity(d, j)
+        inverse = natural_alpha(b, d, b_exp, j).inverse()
+        beta = MFMorphism(pullback([z], b), b, 0, inverse.matrix, check_parity=False)
+        twists.append(([z], natural_alpha(a, d, a_exp, j), beta))
+    return twists
+
+
+def test_graded_strands_are_built_once_per_pair(monkeypatch):
+    calls = _count_strands(monkeypatch)
+    a, b = graded_rank11(1, 4), graded_rank11(2, 4)
+    twists = _natural_twists(a, 1, b, 2, 4)
+    values = [lhs_hlf(a, b, *twist, engine="graded") for twist in twists * 2]
+    assert calls == [(a, b)]
+    # the same values as the Groebner engine on an equal but distinct pair
+    fresh = [lhs_hlf(graded_rank11(1, 4), graded_rank11(2, 4), *twist) for twist in twists]
+    assert values == fresh * 2 and any(not v.is_zero() for v in fresh)
+    entry = a._hom_memo[id(b)]
+    assert entry[0] is b and entry[1] is None
+    assert entry[2] and all(isinstance(s, mflef.homcoh.GradedStrand) for s in entry[2])
+    assert b._hom_memo == {}
+
+
+def test_graded_equal_but_distinct_target_gets_its_own_entry(monkeypatch):
+    calls = _count_strands(monkeypatch)
+    a, b, twin = graded_rank11(1, 4), graded_rank11(2, 4), graded_rank11(2, 4)
+    assert twin is not b and twin.d0 == b.d0 and twin.d1 == b.d1
+    for target in (b, twin, b, twin):
+        twist = _natural_twists(a, 1, target, 2, 4)[0]
+        lhs_hlf(a, target, *twist, engine="graded")
+    assert calls == [(a, b), (a, twin)]
+    assert a._hom_memo[id(b)][0] is b and a._hom_memo[id(twin)][0] is twin
+    assert a._hom_memo[id(b)][2] is not a._hom_memo[id(twin)][2]
+
+
+def test_twist_checks_run_on_a_reused_entry():
+    a, b = graded_rank11(1, 4), graded_rank11(2, 4)
+    twists = _natural_twists(a, 1, b, 2, 4)
+    lhs_hlf(a, b, *twists[0], engine="graded")
+    kept = a._hom_memo[id(b)][2]
+    (_, alpha1, _), (t2, _, beta2) = twists[:2]
+    # alpha for zeta_4 under t = zeta_4^2 is no morphism A -> t^*A
+    with pytest.raises(AssertionError, match="twist does not preserve the kernel"):
+        lhs_hlf(a, b, t2, alpha1, beta2, engine="graded")
+    assert a._hom_memo[id(b)][2] is kept
+    # a strand whose kernel is larger than its nonzero image; the twist maps
+    # everything to a kernel vector v outside the image, and an image vector to v
+    a, b = _koszul_family((3, 3), graded=True)[0::2]
+    ident = [RootOfUnity(1, 0)] * 2
+    lhs_hlf(a, b, ident, MFMorphism.identity(a), MFMorphism.identity(b), engine="graded")
+    strand = next(s for s in a._hom_memo[id(b)][2] if len(s.free) > len(s.pivots) > 0)
+    outside = next(c for c in range(len(strand.free)) if c not in strand.pivots)
+    hit = strand.free[strand.pivots[0]]
+    n = len(strand.piece.elements)
+    t_mat = [[strand.kernel[r][outside] if col == hit else Scalar.zero() for col in range(n)]
+             for r in range(n)]
+    with pytest.raises(AssertionError, match="twist does not preserve the image"):
+        mflef.homcoh._subquotient_trace(strand, t_mat)
+
+
+def test_degree_shifting_twist_builds_no_strands(monkeypatch):
+    calls = _count_strands(monkeypatch)
+    a = graded_rank11(1, 4)
+    ident = MFMorphism.identity(a)
+    zero = R1.zero()
+    times_x = MFMorphism(a, a, 0, [[x, zero], [zero, x]])  # internal degree 1/4
+    for alpha in (times_x, odd_rank11_generator(a)):
+        assert graded_euler_supertrace(a, a, [RootOfUnity(1, 0)], alpha, ident).is_zero()
+    assert calls == [] and a._hom_memo == {}
+
+
+def test_graded_entry_leaves_no_cycle_back_to_its_source():
+    # a != b: the entry holds b and scalars only, so a goes with its last
+    # reference; a kept Groebner basis, by contrast, refers back to a
+    class Tracked(MatrixFactorization):
+        __slots__ = ("__weakref__",)
+
+    def tracked(mf):
+        return Tracked(mf.potential, mf.d0, mf.d1, gradings=mf.gradings)
+
+    b = graded_rank11(2, 4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        a = tracked(graded_rank11(1, 4))
+        lhs_hlf(a, b, *_natural_twists(a, 1, b, 2, 4)[0], engine="graded")
+        assert a._hom_memo[id(b)][2]
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None
+        a = tracked(graded_rank11(1, 4))
+        pair_cohomology(a, b)
+        pair_cohomology(a, b)
+        ref = weakref.ref(a)
+        del a
+        assert ref() is not None
+    finally:
+        if enabled:
+            gc.enable()
+    gc.collect()
+    assert ref() is None

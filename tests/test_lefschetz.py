@@ -459,7 +459,7 @@ def test_pair_requested_once_keeps_no_basis(monkeypatch):
     mf, t, alpha, beta = a2_data()
     lhs_hlf(mf, mf, t, alpha, beta)
     assert calls == [(mf, mf)]
-    assert mf._hom_memo == {id(mf): (mf, None)}
+    assert mf._hom_memo == {id(mf): (mf, None, None)}
 
 
 def test_third_request_makes_no_cohomology_call(monkeypatch):
@@ -472,7 +472,7 @@ def test_third_request_makes_no_cohomology_call(monkeypatch):
     first, second = pair_cohomology(a, b), pair_cohomology(a, b)
     assert len(calls) == 4 and first is not second
     assert pair_cohomology(a, b) is second and len(calls) == 4
-    assert a._hom_memo[id(b)] == (b, second)
+    assert a._hom_memo[id(b)] == (b, second, None)
     assert b._hom_memo == {}
 
 
@@ -486,7 +486,7 @@ def test_equal_but_distinct_target_gets_its_own_entry(monkeypatch):
     assert len(calls) == 2
     pair_cohomology(a, twin)
     assert calls[-1] == (a, twin) and len(calls) == 3
-    assert a._hom_memo[id(twin)] == (twin, None)
+    assert a._hom_memo[id(twin)] == (twin, None, None)
     assert a._hom_memo[id(b)][0] is b
 
 

@@ -172,3 +172,56 @@ def test_milnor_orlik_formula(w):
     for q in WeightSystem.of(w).weights:
         expected *= 1 / q - 1
     assert MilnorAlgebra(w).milnor_number == expected
+
+
+# -- differential oracle: sympy's Groebner bases ----------------------------------
+
+
+def _sympy_milnor_number(w):
+    """dim Q[x]/(dw/dx_1, ..., dw/dx_n) from sympy's groebner; None if infinite."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(w.ring.vars)
+    expr = sympy.sympify(str(w).replace("^", "**"), locals=dict(zip(w.ring.vars, gens)))
+    basis = sympy.groebner([sympy.diff(expr, g) for g in gens], *gens, order="grevlex")
+    if not basis.is_zero_dimensional:
+        return None
+    leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
+    # the standard monomials are a finite order ideal: walk it up from 1
+    standard, frontier = set(), [(0,) * len(gens)]
+    while frontier:
+        mono = frontier.pop()
+        if mono in standard or any(all(a >= b for a, b in zip(mono, lead)) for lead in leads):
+            continue
+        standard.add(mono)
+        frontier += [mono[:i] + (mono[i] + 1,) + mono[i + 1:] for i in range(len(gens))]
+    return len(standard)
+
+
+def _document_potentials():
+    from pathlib import Path
+
+    from mflef.document import parse_document
+
+    fixtures = Path(__file__).parent / "fixtures"
+    return [pytest.param(w, id=f"{name}:{w}")
+            for name in ("a2.mflef", "passing.mflef", "violation.mflef")
+            for w in parse_document((fixtures / name).read_text()).potentials.values()]
+
+
+# The potentials of the benchmark's corpus-cli templates (perfbench/workloads.py).
+CORPUS_POTENTIALS = [
+    x**2, x**3, x**4, x**5, x2**2 + y2**2, x3**2 + y3**2 + z3**2, x2**3 + y2**3,
+    x2**2 * y2 + y2**4, x2**2 * y2 + y2**7, x2**3 + y2**4, x3**3 + y3**3 + z3**3,
+    x3**4 + y3**4 + z3**4,
+]
+
+
+@pytest.mark.parametrize("w", [pytest.param(w, id=f"corpus:{w}") for w in CORPUS_POTENTIALS]
+                         + _document_potentials())
+def test_milnor_number_matches_sympy(w):
+    expected = _sympy_milnor_number(w)
+    if expected is None:
+        with pytest.raises(NonIsolatedError):
+            MilnorAlgebra(w)
+    else:
+        assert MilnorAlgebra(w).milnor_number == expected
