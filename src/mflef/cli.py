@@ -123,12 +123,7 @@ def run_command(command, args, doc, engine="groebner"):
         micros = _now() - start
         basis = ", ".join(_mono_str(w.ring, m) for m in algebra.basis)
         lines = [f"milnor {wname}: mu = {algebra.milnor_number}  basis = [{basis}]"]
-        report = {
-            "case": wname, "command": command,
-            "lhs": str(algebra.milnor_number), "rhs": str(algebra.milnor_number),
-            "equal": True, "engine": "groebner", "micros": micros,
-        }
-        return lines, [report], True
+        return lines, [_row(command, wname, algebra.milnor_number, "groebner", micros)], True
 
     if command == "bb":
         aname, sname, mname = _args(args, 3)
@@ -140,11 +135,7 @@ def run_command(command, args, doc, engine="groebner"):
         micros = _now() - start
         parity = "odd" if tau.parity else "even"
         lines = [f"bb {aname} {sname} {mname}: class = {tau.class_poly}  parity = {parity}"]
-        report = {
-            "case": f"{aname}/{sname}/{mname}", "command": command,
-            "lhs": str(tau.class_poly), "rhs": str(tau.class_poly),
-            "equal": True, "engine": "boundary-bulk", "micros": micros,
-        }
+        report = _row(command, f"{aname}/{sname}/{mname}", tau.class_poly, "boundary-bulk", micros)
         return lines, [report], True
 
     if command == "pair":
@@ -156,11 +147,7 @@ def run_command(command, args, doc, engine="groebner"):
         )
         micros = _now() - start
         lines = [f"pair {aname} {bname} {sname}: value = {value}"]
-        report = {
-            "case": f"{aname}/{bname}/{sname}", "command": command,
-            "lhs": str(value), "rhs": str(value), "equal": True,
-            "engine": "residue-pairing", "micros": micros,
-        }
+        report = _row(command, f"{aname}/{bname}/{sname}", value, "residue-pairing", micros)
         return lines, [report], True
 
     if command in ("hlf-verify", "isolated-verify", "zero-check"):
@@ -207,11 +194,8 @@ def run_command(command, args, doc, engine="groebner"):
             f"divisibility {rep.case}: str = {rep.value}  valuation = {val}  "
             f"bound = {rep.bound}  m_max = {rep.m_max}  [{verdict}]"
         ]
-        report = {
-            "case": rep.case, "command": command, "lhs": str(rep.value),
-            "rhs": f"valuation>={rep.bound}", "equal": rep.passed,
-            "engine": "cyclotomic-valuation", "micros": rep.micros,
-        }
+        report = _row(command, rep.case, rep.value, "cyclotomic-valuation", rep.micros,
+                      rhs=f"valuation>={rep.bound}", equal=rep.passed)
         return lines, [report], rep.passed
 
     if command == "stabilize":
@@ -226,11 +210,7 @@ def run_command(command, args, doc, engine="groebner"):
             value = supertrace_at_origin(alpha)
             lines.append(f"stabilize {mname} {wname}: str((-1)*|0) = {value}")
         micros = _now() - start
-        report = {
-            "case": f"{mname}/{wname}", "command": command,
-            "lhs": f"({mf.r0},{mf.r1})", "rhs": f"({mf.r0},{mf.r1})",
-            "equal": True, "engine": "stabilization", "micros": micros,
-        }
+        report = _row(command, f"{mname}/{wname}", f"({mf.r0},{mf.r1})", "stabilization", micros)
         return lines, [report], True
 
     if command == "hilbert":
@@ -248,11 +228,8 @@ def run_command(command, args, doc, engine="groebner"):
             f"hilbert {mname}: chi = {chi}  d = {data.krull_dim}  e = {data.multiplicity}"
         ]
         ok = True
-        reports = [{
-            "case": mname, "command": command, "lhs": str(chi),
-            "rhs": f"({data.multiplicity})*(1-t)^{pres.ring.nvars - data.krull_dim}",
-            "equal": True, "engine": "free-resolution", "micros": micros,
-        }]
+        reports = [_row(command, mname, chi, "free-resolution", micros,
+                        rhs=f"({data.multiplicity})*(1-t)^{pres.ring.nvars - data.krull_dim}")]
         if wname is not None:
             w = _need(doc, "potentials", wname)
             even_rep = verify_even_multiplicity_divisibility(pres, w, case=f"{mname}/{wname}")
@@ -268,12 +245,11 @@ def run_command(command, args, doc, engine="groebner"):
                 f"str((-1)*|0) = {chi_rep.rhs}  [{verdict}]"
             )
             ok = even_rep.passed and chi_rep.equal
-            reports.append({
-                "case": even_rep.case, "command": "hilbert/even-divisibility",
-                "lhs": str(even_rep.e_at_minus_one),
-                "rhs": f"2^{even_rep.required_power}", "equal": even_rep.passed,
-                "engine": "hilbert-series", "micros": even_rep.micros,
-            })
+            reports.append(_row(
+                "hilbert/even-divisibility", even_rep.case, even_rep.e_at_minus_one,
+                "hilbert-series", even_rep.micros,
+                rhs=f"2^{even_rep.required_power}", equal=even_rep.passed,
+            ))
             reports.append(_report_dict("hilbert/chi-stabilization", chi_rep))
         return lines, reports, ok
 
@@ -313,12 +289,17 @@ def _mono_str(ring, mono):
     )
 
 
-def _report_dict(command, rep: LefschetzReport):
+def _row(command, case, lhs, engine, micros, rhs=None, equal=True):
+    """One JSON report; a command that only computes a value reports it on both sides."""
     return {
-        "case": rep.case, "command": command, "lhs": str(rep.lhs),
-        "rhs": str(rep.rhs), "equal": rep.equal, "engine": rep.engine,
-        "micros": rep.micros,
+        "case": case, "command": command, "lhs": str(lhs),
+        "rhs": str(lhs if rhs is None else rhs), "equal": equal, "engine": engine,
+        "micros": micros,
     }
+
+
+def _report_dict(command, rep: LefschetzReport):
+    return _row(command, rep.case, rep.lhs, rep.engine, rep.micros, rep.rhs, rep.equal)
 
 
 def _lefschetz_output(command, rep: LefschetzReport):

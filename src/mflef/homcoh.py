@@ -275,51 +275,38 @@ def euler_characteristic(basis: CohomologyBasis) -> int:
 # -- graded Euler engine -------------------------------------------------------
 
 
-def _operator_shift(mf: MatrixFactorization, weights):
-    """Common weighted degree shift of the odd operator; validates homogeneity."""
-    grading = mf.grading_list()
-    if grading is None:
-        raise ValueError("factorization carries no internal grading")
-    full = mf.full_matrix()
-    shift = None
-    for i in range(mf.total_rank):
-        for j in range(mf.total_rank):
-            entry = full[i][j]
-            if entry.is_zero():
-                continue
-            s = entry.weighted_degree(weights) + grading[i] - grading[j]
-            if shift is None:
-                shift = s
-            elif shift != s:
-                raise ValueError("operator is not homogeneous for the declared grading")
-    return shift
-
-
-def _weights_and_shift(a, b):
-    """Weights of the potential and the operator shift shared by A and B."""
-    ws = WeightSystem.of(a.potential)
-    if ws is None:
-        raise ValueError("potential is not quasi-homogeneous")
-    shift = _operator_shift(a, ws.weights)
-    if _operator_shift(b, ws.weights) != shift:
-        raise ValueError("source and target gradings use different operator shifts")
-    return ws.weights, shift
-
-
-def _morphism_degree(phi, weights, src_grading, dst_grading):
-    """Common internal degree of a homogeneous morphism; raises otherwise."""
+def _grading_degree(matrix, weights, grading, error):
+    """Common degree of the nonzero entries (i, j), each counted as its weighted
+    degree + grading[i] - grading[j]; raises ValueError(error) if two differ,
+    and returns None for a zero matrix."""
     degree = None
-    for i in range(len(phi.matrix)):
-        for j in range(len(phi.matrix[0])):
-            entry = phi.matrix[i][j]
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
             if entry.is_zero():
                 continue
-            d = entry.weighted_degree(weights) + dst_grading[i] - src_grading[j]
+            d = entry.weighted_degree(weights) + grading[i] - grading[j]
             if degree is None:
                 degree = d
             elif degree != d:
-                raise ValueError("morphism is not homogeneous for the declared gradings")
-    return Fraction(0) if degree is None else degree
+                raise ValueError(error)
+    return degree
+
+
+def _weights_and_shift(a, b):
+    """Weights of the potential and the odd operator's degree shift shared by A and B."""
+    ws = WeightSystem.of(a.potential)
+    if ws is None:
+        raise ValueError("potential is not quasi-homogeneous")
+    shifts = []
+    for mf in (a, b):
+        grading = mf.grading_list()
+        if grading is None:
+            raise ValueError("factorization carries no internal grading")
+        shifts.append(_grading_degree(mf.full_matrix(), ws.weights, grading,
+                                      "operator is not homogeneous for the declared grading"))
+    if shifts[0] != shifts[1]:
+        raise ValueError("source and target gradings use different operator shifts")
+    return ws.weights, shifts[0]
 
 
 class GradedHomPiece:
@@ -409,9 +396,12 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
     pair_strands); a call builds only its twist matrices.
     """
     weights, shift = _weights_and_shift(a, b)
-    ga, gb = a.grading_list(), b.grading_list()
-    twist_degree = _morphism_degree(alpha, weights, ga, ga) + _morphism_degree(
-        beta, weights, gb, gb
+    if not alpha.is_closed() or not beta.is_closed():
+        raise ValueError("alpha and beta must be closed morphisms")
+    twist_degree = sum(
+        _grading_degree(phi.matrix, weights, g,
+                        "morphism is not homogeneous for the declared gradings") or 0
+        for phi, g in ((alpha, a.grading_list()), (beta, b.grading_list()))
     )
     if twist_degree != 0:
         # a homogeneous degree-shifting operator has no diagonal on graded
@@ -429,16 +419,8 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
 
 
 def pair_strands(a, b, weights, shift):
-    """The reduced strands of (a, b), kept from the pair's first request on.
-
-    They are kept on a, keyed on id(b), in the entry of a._hom_memo that also
-    holds b and lefschetz.pair_cohomology's basis: id(b) cannot be reused
-    while the entry lives, and an equal but distinct b gets its own entry.
-    Unlike a basis, strands are admitted on the first request: a document
-    twists most of its graded pairs more than once, and strands are small.
-    They hold scalars and monomials only, so for a != b the entry holds no
-    reference back to a and goes when a goes, with no cyclic collection.
-    """
+    """The reduced strands of (a, b), kept in a._hom_memo from the pair's first
+    request on, by the rules stated on MatrixFactorization."""
     entry = a._hom_memo.get(id(b))
     if entry is not None and entry[2] is not None:
         return entry[2]

@@ -80,6 +80,11 @@ def _now():
     return time.perf_counter_ns() // 1000
 
 
+def _report(case, lhs, rhs, engine, start) -> LefschetzReport:
+    """A report comparing lhs and rhs exactly, timed from start (see _now)."""
+    return LefschetzReport(case, lhs, rhs, bool(lhs == rhs), engine, _now() - start)
+
+
 def _inverse_symmetry(t):
     return tuple(r.inverse() for r in t)
 
@@ -153,18 +158,8 @@ def pair_cohomology(a: MatrixFactorization, b: MatrixFactorization) -> Cohomolog
     """cohomology(hom_complex(a, b)), reused across requests for the same objects.
 
     The basis depends on the pair alone, so a verifier that twists it by many
-    (t, alpha, beta) needs it once.  It is kept on a, keyed on id(b), in the
-    entry (b, basis, graded strands) that it shares with the graded engine's
-    homcoh.pair_strands; the entry holds b itself, so id(b) cannot be reused
-    while the entry lives, and an equal but distinct b gets its own entry.  A
-    basis is admitted on the pair's second request, by either engine: the
-    first leaves only the entry, so a pair used once keeps no basis alive.
-    (The graded strands are cheaper to keep and are admitted on the first.)
-    Under threads, the worst case is a duplicate computation.
-
-    A kept basis refers back to a (a._hom_memo -> basis -> HomComplex -> a),
-    and so does any entry of a pair (a, a).  Such an entry is freed by the
-    cyclic garbage collector, not when the last outside reference goes.
+    (t, alpha, beta) needs it once.  It is kept in a._hom_memo, from the
+    pair's second request on, by the rules stated on MatrixFactorization.
     """
     entry = a._hom_memo.get(id(b))
     if entry is not None and entry[1] is not None:
@@ -203,14 +198,7 @@ def verify_hlf(a, b, t, alpha, beta, engine="groebner", case="hlf") -> Lefschetz
     start = _now()
     lhs = lhs_hlf(a, b, t, alpha, beta, engine=engine)
     rhs = rhs_hlf(a, b, t, alpha, beta)
-    return LefschetzReport(
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        equal=bool(lhs == rhs),
-        engine=f"{engine}+residue-pairing[{PAIRING_CONVENTION}]",
-        micros=_now() - start,
-    )
+    return _report(case, lhs, rhs, f"{engine}+residue-pairing[{PAIRING_CONVENTION}]", start)
 
 
 def verify_isolated(a, b, t, alpha, beta, engine="groebner", case="isolated") -> LefschetzReport:
@@ -223,14 +211,7 @@ def verify_isolated(a, b, t, alpha, beta, engine="groebner", case="isolated") ->
     rhs = supertrace_at_origin(alpha) * supertrace_at_origin(beta)
     for r in t:
         rhs = rhs * (Scalar.one() - r.to_scalar()).inverse()
-    return LefschetzReport(
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        equal=bool(lhs == rhs),
-        engine=f"{engine}+closed-form",
-        micros=_now() - start,
-    )
+    return _report(case, lhs, rhs, f"{engine}+closed-form", start)
 
 
 def lunts_check(w, t, case="lunts") -> LefschetzReport:
@@ -259,14 +240,7 @@ def lunts_check(w, t, case="lunts") -> LefschetzReport:
     rhs = Scalar.from_rational(
         (-1) ** (len(ts.fixed_indices)) * ts.milnor.milnor_number
     )
-    return LefschetzReport(
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        equal=bool(lhs == rhs),
-        engine="milnor-action+sdim",
-        micros=_now() - start,
-    )
+    return _report(case, lhs, rhs, "milnor-action+sdim", start)
 
 
 def zero_fixed_locus_check(a, b, t, alpha, beta, engine="groebner", case="zero") -> LefschetzReport:
@@ -279,15 +253,7 @@ def zero_fixed_locus_check(a, b, t, alpha, beta, engine="groebner", case="zero")
         raise ValueError("vanishing is stated for even alpha and beta")
     start = _now()
     lhs = lhs_hlf(a, b, t, alpha, beta, engine=engine)
-    zero = Scalar.zero()
-    return LefschetzReport(
-        case=case,
-        lhs=lhs,
-        rhs=zero,
-        equal=bool(lhs == zero),
-        engine=f"{engine}+parity",
-        micros=_now() - start,
-    )
+    return _report(case, lhs, Scalar.zero(), f"{engine}+parity", start)
 
 
 def trace_identity_check(a, t, alpha, engine="groebner", case="trace-identity") -> LefschetzReport:
@@ -306,14 +272,7 @@ def trace_identity_check(a, t, alpha, engine="groebner", case="trace-identity") 
     rhs = lhs_hlf(a, a, t, alpha, beta, engine=engine)
     for r in t:
         rhs = rhs * (Scalar.one() - r.to_scalar())
-    return LefschetzReport(
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        equal=bool(lhs == rhs),
-        engine=f"{engine}+origin-supertraces",
-        micros=_now() - start,
-    )
+    return _report(case, lhs, rhs, f"{engine}+origin-supertraces", start)
 
 
 def divisibility_check(a: MatrixFactorization, t, alpha: MFMorphism, p: int,

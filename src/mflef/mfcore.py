@@ -55,11 +55,19 @@ def _place(out, block, top, left):
 class MatrixFactorization:
     """Z/2-graded free module with an odd operator squaring to w.
 
-    `_full` caches full_matrix().  `_hom_memo` maps id(target) to the entry
-    (target, basis or None, graded strands or None) of the pair (self, target):
-    lefschetz.pair_cohomology keeps a Groebner basis there from the pair's
-    second request on, and homcoh.pair_strands the graded engine's reduced
-    strands from the first.  Neither is pickled or copied.
+    `_full` caches full_matrix().  `_hom_memo` maps id(b) to the entry
+    (b, basis or None, graded strands or None) that the pair (self, b) reuses
+    across requests.  The entry holds b, so id(b) cannot be reused while it
+    lives, and an equal but distinct b gets its own entry.
+    lefschetz.pair_cohomology admits a Groebner basis on the pair's second
+    request by either engine, so a pair used once keeps no basis alive;
+    homcoh.pair_strands admits the graded engine's reduced strands on the
+    first, as a document twists most graded pairs more than once and strands
+    are small.  A basis refers back to self (basis -> HomComplex -> self), and
+    so does any entry of a pair (self, self): such an entry is freed by the
+    cyclic garbage collector, not when the last outside reference goes.
+    Strands hold scalars and monomials only.  Under threads the worst case is
+    a duplicate computation.  The memo is neither pickled nor copied.
     """
 
     __slots__ = ("ring", "potential", "r0", "r1", "d0", "d1", "gradings", "_full", "_hom_memo")

@@ -205,6 +205,41 @@ def test_corpus_text_matches_recorded_output(name, status, engine, capsys):
     assert capsys.readouterr().out == (FIXTURES / f"{name}.out").read_text()
 
 
+HILBERT_MODULES = """
+[module]
+name = M
+vars = x, y
+degrees = 0
+relations = { x^2 ; x*y }
+
+[module]
+name = N
+vars = x, y
+degrees = 1
+relations = { x ; y }
+
+[module]
+name = P
+vars = x, y
+degrees = -1
+relations = { x ; y }
+"""
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (["hilbert", "M"], 0, "hilbert M: chi = 1 - 2*t^2 + t^3  d = 1  e = 1 + t - t^2\n", ""),
+    (["hilbert", "N"], 0, "hilbert N: chi = t - 2*t^2 + t^3  d = 0  e = t\n", ""),
+    (["hilbert", "P"], 2, "", "error: chi needs nonnegative generator degrees\n"),
+], ids=["gap", "shifted", "negative-degree"])
+def test_hilbert_output(argv, status, out, err, tmp_path, capsys):
+    # R/(x^2, xy): chi has a coefficient other than +-1 and a gap at t^1.
+    # A generator of negative degree would need a Laurent polynomial.
+    doc = tmp_path / "modules.mflef"
+    doc.write_text(HILBERT_MODULES)
+    assert _run(argv + ["-i", str(doc)]) == status
+    assert capsys.readouterr() == (out, err)
+
+
 SINGULAR_ALPHA = """
 [potential]
 w = x^3

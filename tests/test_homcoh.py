@@ -295,6 +295,16 @@ def test_graded_functions_validate_alike(case, message):
         graded_euler_supertrace(a, b, [RootOfUnity(1, 0)], ident, ident)
 
 
+def test_graded_engine_rejects_a_twist_that_is_not_closed():
+    # the Groebner engine's input error, not the graded engine's internal check
+    a = koszul_mf([x2**2, y2**2], [x2, y2], gradings=[Fraction(1, 3)] * 2)
+    t = [RootOfUnity(1, 0)] * 2
+    alpha = MFMorphism.diagonal(a, pullback(t, a), [Scalar.from_rational(c) for c in (1, 2, 1, 1)])
+    assert not alpha.is_closed()
+    with pytest.raises(ValueError, match="alpha and beta must be closed morphisms"):
+        graded_euler_supertrace(a, a, t, alpha, MFMorphism.identity(a))
+
+
 def _q(rows):
     return [[Scalar.from_rational(c) for c in row] for row in rows]
 
