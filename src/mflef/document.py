@@ -47,7 +47,7 @@ identifiers, and `+ - * / ^ ( )`.  Symmetries are written
 Every declared factorization is validated on load, every symmetry is checked
 against its potential, and every morphism must be closed.
 
-Parsing checks the MAX_* limits below before the arithmetic they guard.
+Parsing checks the LIMITS below before the arithmetic they guard.
 """
 
 from __future__ import annotations
@@ -67,14 +67,16 @@ class DocumentError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-MAX_NESTING = 100  # parentheses and unary signs
-MAX_ZETA_ORDER = 100  # of zeta(m), and of each sum, product or quotient
-MAX_EXPONENT = 100
-MAX_DEGREE = 32  # total degree of a product or power
-MAX_POWER_BITS = 4096  # exponent times the bit length of the base's coefficients
-MAX_TERMS = 1000  # the most terms a product or power can expand to
-MAX_VARIABLES = 8  # of a potential or a module
-MAX_RANK = 16  # rows, and entries of a row, of a matrix block; generators of a module
+# The work a document can request: each bounded count and its largest value.
+LIMITS = {
+    "nesting depth": 100,  # of parentheses and unary signs
+    "zeta order": 100, "cyclotomic order": 100,  # of each sum, product or quotient
+    "exponent": 100, "total degree": 32,  # of a product or power
+    "power bit size": 4096,  # exponent times the bit length of the base's coefficients
+    "term count": 1000,  # the most terms a product or power can expand to
+    "variable count": 8,  # of a potential or a module
+    "matrix row count": 16, "matrix column count": 16, "generator count": 16,
+}
 
 RESERVED_KEYS = {
     "name", "expr", "vars", "potential", "roots", "source", "target", "twist",
@@ -137,9 +139,10 @@ def _parse_expression(tokens: _Tokens, ring: PolyRing) -> Polynomial:
     return expr
 
 
-def _bound(line, what, value, limit):
-    if value > limit:
-        raise DocumentError(f"{what} {value} exceeds the limit {limit}", line)
+def _bound(line, what, value):
+    """value, unless it exceeds LIMITS[what]."""
+    if value > LIMITS[what]:
+        raise DocumentError(f"{what} {value} exceeds the limit {LIMITS[what]}", line)
     return value
 
 
@@ -147,22 +150,18 @@ def _bound_terms(tokens, count, factors, exponent=1):
     """Bound, before expanding, the terms of the product of `factors`, each
     to the power `exponent`: at most `count`, and at most the monomials of
     its degree range in the variables the factors use."""
-    if count <= MAX_TERMS:
+    if count <= LIMITS["term count"]:
         return
     used = sum(1 for column in zip(*(m for f in factors for m in f.terms)) if any(column))
     low = exponent * sum(min(sum(m) for m in f.terms) for f in factors)
     high = exponent * sum(max(sum(m) for m in f.terms) for f in factors)
     monomials = math.comb(used + high, used) - (math.comb(used + low - 1, used) if low else 0)
-    _bound(tokens.line, "term count", min(count, monomials), MAX_TERMS)
+    _bound(tokens.line, "term count", min(count, monomials))
 
 
 def _order(p: Polynomial) -> int:
     """The cyclotomic order that arithmetic on p's coefficients runs in."""
     return math.lcm(1, *(c.order for c in p.terms.values()))
-
-
-def _combined_order(tokens, order, rhs):
-    return _bound(tokens.line, "cyclotomic order", math.lcm(order, _order(rhs)), MAX_ZETA_ORDER)
 
 
 def _parse_sum(tokens, ring):
@@ -171,7 +170,7 @@ def _parse_sum(tokens, ring):
     while tokens.peek()[0] in ("+", "-"):
         op = tokens.next()[0]
         rhs = _parse_product(tokens, ring)
-        order = _combined_order(tokens, order, rhs)
+        order = _bound(tokens.line, "cyclotomic order", math.lcm(order, _order(rhs)))
         value = value + rhs if op == "+" else value - rhs
     return value
 
@@ -182,10 +181,9 @@ def _parse_product(tokens, ring):
     while tokens.peek()[0] in ("*", "/"):
         op = tokens.next()[0]
         rhs = _parse_power(tokens, ring)
-        order = _combined_order(tokens, order, rhs)
+        order = _bound(tokens.line, "cyclotomic order", math.lcm(order, _order(rhs)))
         if op == "*":
-            degree = value.total_degree() + rhs.total_degree()
-            _bound(tokens.line, "total degree", degree, MAX_DEGREE)
+            _bound(tokens.line, "total degree", value.total_degree() + rhs.total_degree())
             _bound_terms(tokens, len(value.terms) * len(rhs.terms), (value, rhs))
             value = value * rhs
         else:
@@ -204,11 +202,11 @@ def _parse_power(tokens, ring):
     if tokens.peek()[0] == "-":
         tokens.next()
         negative = True
-    exponent = _bound(tokens.line, "exponent", tokens.expect("num")[1], MAX_EXPONENT)
-    _bound(tokens.line, "total degree", base.total_degree() * exponent, MAX_DEGREE)
+    exponent = _bound(tokens.line, "exponent", tokens.expect("num")[1])
+    _bound(tokens.line, "total degree", base.total_degree() * exponent)
     bits = max((abs(n).bit_length() for c in base.terms.values() for n in c.num + (c.den,)),
                default=0)
-    _bound(tokens.line, "power bit size", exponent * bits, MAX_POWER_BITS)
+    _bound(tokens.line, "power bit size", exponent * bits)
     if negative:
         if not base.is_constant():
             raise DocumentError("negative powers need a scalar base", tokens.line)
@@ -226,7 +224,7 @@ def _parse_atom(tokens, ring):
     if kind == "num":
         return ring.const(value)
     if kind in ("-", "+", "("):
-        tokens.depth = _bound(tokens.line, "nesting depth", tokens.depth + 1, MAX_NESTING)
+        tokens.depth = _bound(tokens.line, "nesting depth", tokens.depth + 1)
         if kind == "(":
             inner = _parse_sum(tokens, ring)
             tokens.expect(")")
@@ -246,13 +244,13 @@ def _parse_atom(tokens, ring):
 
 
 def _zeta_order(tokens):
-    """The `(m)` after `zeta`, checked to lie in 1..MAX_ZETA_ORDER."""
+    """The `(m)` after `zeta`, checked to be positive and within its limit."""
     tokens.expect("(")
     order = tokens.expect("num")[1]
     tokens.expect(")")
     if order < 1:
         raise DocumentError("zeta needs a positive order", tokens.line)
-    return _bound(tokens.line, "zeta order", order, MAX_ZETA_ORDER)
+    return _bound(tokens.line, "zeta order", order)
 
 
 def parse_polynomial(text: str, ring: PolyRing, line=None) -> Polynomial:
@@ -411,13 +409,13 @@ def _collect_entries(section):
 
 
 def _parse_matrix(rows, ring, line):
-    if len(rows) > MAX_RANK:
-        _bound(rows[MAX_RANK][0], "matrix row count", len(rows), MAX_RANK)
+    if len(rows) > LIMITS["matrix row count"]:
+        _bound(rows[LIMITS["matrix row count"]][0], "matrix row count", len(rows))
     matrix = []
     width = None
     for lineno, row in rows:
         cells = [c.strip() for c in row.split(";")]
-        _bound(lineno, "matrix column count", len(cells), MAX_RANK)
+        _bound(lineno, "matrix column count", len(cells))
         parsed = [parse_polynomial(c, ring, lineno) for c in cells]
         if width is None:
             width = len(parsed)
@@ -503,7 +501,7 @@ def _load_potential(doc, data, free, line):
         var_names, vars_line = _variables_in_order(expr_value, expr_line), expr_line
     if not var_names:
         raise DocumentError("potential has no variables", expr_line)
-    _bound(vars_line, "variable count", len(var_names), MAX_VARIABLES)
+    _bound(vars_line, "variable count", len(var_names))
     ring = PolyRing(var_names)
     poly = parse_polynomial(expr_value, ring, expr_line)
     if name in doc.potentials:
@@ -610,7 +608,7 @@ def _load_module(doc, data, free, line):
     name, _ = _get_name(doc, data, free, line, "module")
     if "vars" in data:
         var_names, vars_line = _variable_list(data["vars"])
-        _bound(vars_line, "variable count", len(var_names), MAX_VARIABLES)
+        _bound(vars_line, "variable count", len(var_names))
         ring = PolyRing(var_names)
     elif len(doc.potentials) == 1:
         ring = next(iter(doc.potentials.values())).ring
@@ -619,7 +617,7 @@ def _load_module(doc, data, free, line):
     if "degrees" not in data:
         raise DocumentError("module needs generator degrees", line)
     degrees = _parse_fraction_list(data["degrees"][0], line)
-    _bound(data["degrees"][1], "generator count", len(degrees), MAX_RANK)
+    _bound(data["degrees"][1], "generator count", len(degrees))
     if any(d.denominator != 1 for d in degrees):
         raise DocumentError("module degrees must be integers", line)
     relations = []

@@ -3,7 +3,8 @@
 Elements of a rank-r free module are sparse maps (component, monomial) ->
 Scalar.  The term order is degree-reverse-lexicographic on monomials, extended
 position-over-term to modules with lower component index taking priority; that
-fixed priority is what makes the syzygy computation below an elimination.
+fixed priority is what lets `syzygy_basis` read a generating set of the
+syzygies off the S-pair reductions of the columns (Schreyer's theorem).
 `term_key` is the one encoding of this order: the leading term of a vector is
 the term with the smallest key.  A `GroebnerBasis` indexes its generators by
 lead once, in `leads`, and every reduction reads that index.
@@ -223,7 +224,7 @@ def _s_vector(gi: Vec, qi: Monomial, gj: Vec, qj: Monomial) -> Vec:
     return Vec(gi.ring, gi.rank, terms)
 
 
-def buchberger(generators, rank=None) -> GroebnerBasis:
+def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
     """Reduced Groebner basis; normal selection strategy (lowest lcm first).
 
     S-pairs join leads in one component only.  Each new generator updates
@@ -238,6 +239,7 @@ def buchberger(generators, rank=None) -> GroebnerBasis:
     pairs kept, so the loop still ends with a Groebner basis of the same
     submodule.  The reduced basis of a submodule is unique, so the criteria
     change only how many S-vectors are reduced, never the result.
+    `_syzygies_from` is for `syzygy_basis` alone: see there.
     """
     items = [_coerce_vec(g, rank) for g in generators]
     items = [v for v in items if not v.is_zero()]
@@ -247,6 +249,7 @@ def buchberger(generators, rank=None) -> GroebnerBasis:
         return GroebnerBasis(None, rank, [])
     ring = items[0].ring
     rank = items[0].rank
+    block = rank if _syzygies_from is None else _syzygies_from
     gb = GroebnerBasis(ring, rank, [])
     pairs: list = []  # heap of (lcm key, push count, component)
     queued: dict = {}  # component -> {push count: (lcm, lead_i, i, lead_j, j)}
@@ -256,6 +259,8 @@ def buchberger(generators, rank=None) -> GroebnerBasis:
         """Append v monic and update the pairs by the criteria above."""
         new = len(gb)
         comp, mono = gb.append(v.monic())
+        if comp >= block:
+            return
         live = queued.setdefault(comp, {})
         # chain criterion B_k, on the queued pairs of this component only
         for n, (lcm, mono_i, _, mono_j, _) in list(live.items()):
@@ -295,18 +300,19 @@ def buchberger(generators, rank=None) -> GroebnerBasis:
             add(rem)
 
     # inter-reduce to the unique reduced basis: prune generators whose lead
-    # is divisible by another's (keeping the first of equal leads), then
-    # reduce each tail by the kept generators.  Every tail term, and every
-    # term its reduction produces, lies below the generator's own lead, so
-    # the generator cannot reduce itself and one shared index serves all.
+    # is divisible by another's (keeping the first of equal leads; for
+    # syzygy_basis, keep the syzygies alone), then reduce each tail by the
+    # kept generators.  Every tail term, and every term its reduction
+    # produces, lies below the generator's own lead, so the generator cannot
+    # reduce itself and one shared index serves all.
     kept = GroebnerBasis(ring, rank, [
         gb.generators[i]
-        for entries in gb.leads.values()
+        for comp, entries in gb.leads.items()
         for mono, i in entries
-        if not any(
+        if comp >= block or (_syzygies_from is None and not any(
             j != i and monomial_divides(other, mono) and (other != mono or j < i)
             for other, j in entries
-        )
+        ))
     ])
     reduced = []
     for comp, entries in kept.leads.items():
@@ -388,10 +394,13 @@ def standard_monomials(gb: GroebnerBasis, nvars=None):
 def syzygy_basis(mat):
     """Generators of {v : mat . v = 0} for a row-major matrix over the ring.
 
-    Computed by the augmented-module elimination: a Groebner basis of the
-    columns extended by unit vectors in fresh trailing components; basis
-    elements supported only on the trailing block are the syzygies.
-    Returns a list of columns (lists of Polynomials of length ncols).
+    `buchberger` runs on the columns (mat e_j, e_j), extended by unit vectors
+    in trailing components, and returns the elements led there: syzygies.
+    They join no S-pair and are not pruned, only tail-reduced: by Schreyer's
+    theorem (La Scala & Stillman, JSC 26, 1998) the S-pair reductions of the
+    columns already generate the syzygies, so the result is a generating
+    set, not their reduced Groebner basis.  Returns a list of columns (lists
+    of Polynomials of length ncols).
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -400,22 +409,14 @@ def syzygy_basis(mat):
     ring = mat[0][0].ring
     augmented = []
     for j in range(ncols):
-        terms = {}
-        for i in range(nrows):
-            for m, c in mat[i][j].terms.items():
-                terms[(i, m)] = c
-        terms[(nrows + j, (0,) * ring.nvars)] = Scalar.one()
-        augmented.append(Vec(ring, nrows + ncols, terms))
-    gb = buchberger(augmented)
-    syzygies = []
-    for g in gb.generators:
-        if any(comp < nrows for comp, _ in g.terms):
-            continue
-        cols = [dict() for _ in range(ncols)]
-        for (comp, m), c in g.terms.items():
-            cols[comp - nrows][m] = c
-        syzygies.append([Polynomial(ring, d) for d in cols])
-    return syzygies
+        vec = Vec.from_column([row[j] for row in mat], nrows + ncols)
+        vec.terms[(nrows + j, (0,) * ring.nvars)] = Scalar.one()
+        augmented.append(vec)
+    gb = buchberger(augmented, _syzygies_from=nrows)
+    return [
+        Vec(ring, ncols, {(comp - nrows, m): c for (comp, m), c in g.terms.items()}).to_column()
+        for g in gb.generators
+    ]
 
 
 # -- graded presentations and free resolutions -------------------------------

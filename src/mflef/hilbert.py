@@ -11,22 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .groebner import (
-    GradedModulePresentation,
-    Vec,
-    buchberger,
-    free_resolution,
-    standard_monomials,
-)
+from .groebner import GradedModulePresentation, Vec, buchberger, free_resolution
 from .lefschetz import LefschetzReport, _now, _report
 from .mfcore import stabilize_module, supertrace_at_origin
-from .milnor import NonIsolatedError
-from .polyring import (
-    Polynomial,
-    monomial_divides,
-    monomials_of_weighted_degree,
-    partial_derivative,
-)
+from .milnor import NonIsolatedError, jacobian_quotient
+from .polyring import Polynomial, monomial_divides, monomials_of_weighted_degree
 from .scalars import Scalar
 
 
@@ -169,15 +158,6 @@ class DivisibilityEvenReport:
         )
 
 
-def _jacobian_has_finite_colength(w: Polynomial) -> bool:
-    n = w.ring.nvars
-    jac = [partial_derivative(w, i) for i in range(n)]
-    if any(j.is_zero() for j in jac):
-        return False
-    gb = buchberger(jac, rank=1)
-    return standard_monomials(gb, nvars=n) is not None
-
-
 def verify_even_multiplicity_divisibility(pres: GradedModulePresentation, w: Polynomial,
                                           case="even-multiplicity") -> DivisibilityEvenReport:
     """2-adic bound on e_M(-1) for modules over an even smooth hypersurface.
@@ -191,8 +171,10 @@ def verify_even_multiplicity_divisibility(pres: GradedModulePresentation, w: Pol
     degs = {sum(m) for m in w.terms}
     if len(degs) != 1 or (deg := degs.pop()) % 2:
         raise ValueError("potential must be homogeneous of even degree")
-    if not _jacobian_has_finite_colength(w):
-        raise NonIsolatedError("hypersurface fails the smoothness proxy")
+    try:
+        jacobian_quotient(w)
+    except NonIsolatedError:
+        raise NonIsolatedError("hypersurface fails the smoothness proxy") from None
     from .mfcore import _annihilates
 
     if not _annihilates(w, pres):

@@ -58,26 +58,20 @@ class HomComplex:
                 raise AssertionError("Hom-complex differential does not square to zero")
 
     def _build_d(self, parity):
-        """Matrix of D = d_B phi - (-1)^parity phi d_A on the parity block."""
-        ring = self.ring
+        """Matrix of D = d_B phi - (-1)^parity phi d_A on the parity block.  Its
+        two terms never share an entry: an odd operator has a zero diagonal."""
         src_pairs = self.pairs[parity]
-        dst_pairs = self.pairs[1 - parity]
         dst_index = self.pair_index[1 - parity]
         db = self.target.full_matrix()
         da = self.source.full_matrix()
-        sign = Scalar.from_rational(1 if parity == 0 else -1)
-        mat = linalg.zeros(len(dst_pairs), len(src_pairs), ring.zero())
+        mat = linalg.zeros(len(self.pairs[1 - parity]), len(src_pairs), self.ring.zero())
         for col, (a, b) in enumerate(src_pairs):
-            for i in range(self.target.total_rank):
-                entry = db[i][a]
+            for i, row in enumerate(db):
+                if not row[a].is_zero():
+                    mat[dst_index[(i, b)]][col] = row[a]
+            for j, entry in enumerate(da[b]):
                 if not entry.is_zero():
-                    row = dst_index[(i, b)]
-                    mat[row][col] = mat[row][col] + entry
-            for j in range(self.source.total_rank):
-                entry = da[b][j]
-                if not entry.is_zero():
-                    row = dst_index[(a, j)]
-                    mat[row][col] = mat[row][col] - entry * sign
+                    mat[dst_index[(a, j)]][col] = entry if parity else -entry
         return mat
 
     def flatten(self, phi: MFMorphism):
@@ -99,17 +93,18 @@ def hom_complex(source: MatrixFactorization, target: MatrixFactorization) -> Hom
 class CohomologyBasis:
     """Even/odd bases of H(Hom(A,B)) with reduction of cocycles to coordinates.
 
-    Per parity, K is a syzygy basis of D: its s columns generate the
-    cocycles in the rank-npairs cochain module.  One Buchberger run on the
-    columns (K e_j, e_j) and (D c, 0) of R^npairs + R^s gives a basis G of
-    M = {(K v + D c, v)}.  M meets the trailing block R^s in the relations
-    {v : K v in im D}, so H = R^s / relations.  Position-over-term order
-    ranks the leading block first; hence the elements of G whose lead lies
-    on the trailing block are supported there and form the reduced basis of
-    the relations.  A reduced basis is unique, so its standard monomials are
-    the basis that a separate relation computation would give.  A cocycle
-    phi = K u reduces in one normal form: (phi, 0) = (K u, u) - (0, u), so
-    its remainder is (0, -v) with v the reduced coordinates of u.
+    Per parity, K is a generating set of the syzygies of D, read off the
+    S-pair reductions of its columns (see `syzygy_basis`): its s columns
+    generate the cocycles in the rank-npairs cochain module.  One Buchberger
+    run on the columns (K e_j, e_j) and (D c, 0) of R^npairs + R^s gives a
+    basis G of M = {(K v + D c, v)}.  M meets the trailing block R^s in the
+    relations {v : K v in im D}, so H = R^s / relations.  Position-over-term
+    order ranks the leading block first; hence the elements of G whose lead
+    lies on the trailing block are supported there and form the reduced
+    basis of the relations.  A reduced basis is unique, so its standard
+    monomials are the basis that a separate relation computation would give.
+    A cocycle phi = K u reduces in one normal form: (phi, 0) = (K u, u) -
+    (0, u), so its remainder is (0, -v) with v the reduced coordinates of u.
     """
 
     __slots__ = ("hom", "std", "_kernel_cols", "_gb", "_reps")

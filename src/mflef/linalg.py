@@ -1,9 +1,10 @@
 """Exact dense linear algebra on lists of rows.
 
-`zeros` and `mat_mul` take any entries with `is_zero`, `+` and `*`: Scalars
-in Q(zeta_m), and Polynomials for the odd operators, morphisms, Hom
-differentials and stabilization residuals of `mfcore`, `homcoh` and
-`lefschetz`.  The caller passes the zero of its entries.
+`zeros` and `mat_mul` take Scalars in Q(zeta_m), and Polynomials for the odd
+operators, morphisms, Hom differentials and stabilization residuals of
+`mfcore`, `homcoh` and `lefschetz`.  The caller passes the zero of its
+entries.  On Polynomials `mat_mul` is fused: it reads B's nonzero entries by
+row and sums the term products of each output entry in one dict.
 
 One reduced-echelon elimination over Q(zeta_m), `_echelon`, serves `rank`,
 `solve`, `nullspace`, `invert`, `det` and `echelon_form`.  Its callers are the
@@ -12,6 +13,8 @@ graded engine's strand traces, the stabilization homotopy solves,
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .scalars import Scalar, as_scalar
 
@@ -34,6 +37,22 @@ def mat_mul(a: Matrix, b: Matrix, zero=Scalar.zero(), cols=None) -> Matrix:
     rows, inner = len(a), len(b)
     if cols is None:
         cols = len(b[0]) if b else 0
+    if not isinstance(zero, Scalar):
+        b_rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
+        out = []
+        for ai in a:
+            sums = [{} for _ in range(cols)]
+            for c, bk in zip(ai, b_rows):
+                for m1, c1 in c.terms.items():
+                    for j, terms in bk:
+                        acc = sums[j]
+                        for m2, c2 in terms.items():
+                            m = tuple(map(add, m1, m2))
+                            old = acc.get(m)
+                            acc[m] = c1 * c2 if old is None else old + c1 * c2
+            out.append([type(zero)(zero.ring, {m: v for m, v in acc.items() if not v.is_zero()})
+                        if acc else zero for acc in sums])
+        return out
     out = zeros(rows, cols, zero)
     for i in range(rows):
         ai, oi = a[i], out[i]

@@ -34,6 +34,19 @@ class NonIsolatedError(ValueError):
 PAIRING_CONVENTION = "res(hess)=mu;sign=(-1)^(m(m+1)/2)"
 
 
+def jacobian_quotient(w: Polynomial):
+    """(Groebner basis, standard monomials) of the Jacobian ideal of w;
+    raises NonIsolatedError unless its colength is finite."""
+    jacobian = [partial_derivative(w, i) for i in range(w.ring.nvars)]
+    if any(j.is_zero() for j in jacobian):
+        raise NonIsolatedError(f"{w} has vanishing partials; singularity is not isolated")
+    gb = buchberger(jacobian, rank=1)
+    std = standard_monomials(gb, nvars=w.ring.nvars)
+    if std is None:
+        raise NonIsolatedError(f"{w} does not define an isolated singularity")
+    return gb, std
+
+
 class MilnorAlgebra:
     """R/(d_1 w, ..., d_n w) with its monomial basis and residue data."""
 
@@ -50,18 +63,10 @@ class MilnorAlgebra:
     )
 
     def __init__(self, w: Polynomial):
-        ring = w.ring
-        n = ring.nvars
-        jacobian = [partial_derivative(w, i) for i in range(n)]
-        if n > 0 and any(j.is_zero() for j in jacobian):
-            raise NonIsolatedError(f"{w} has vanishing partials; singularity is not isolated")
-        gb = buchberger(jacobian, rank=1) if jacobian else buchberger([], rank=1)
-        std = standard_monomials(gb, nvars=n)
-        if std is None:
-            raise NonIsolatedError(f"{w} does not define an isolated singularity")
+        n = w.ring.nvars
+        self.jacobian_basis, std = jacobian_quotient(w)
         self.potential = w
-        self.ring = ring
-        self.jacobian_basis = gb
+        self.ring = w.ring
         self.basis = tuple(m for _, m in std)
         self.milnor_number = len(self.basis)
         self.weights = WeightSystem.of(w) if n > 0 else None

@@ -431,9 +431,9 @@ def test_unwritable_json_path_is_input_error(tmp_path):
     assert not out.exists()
 
 
-# One step past each parser limit: MAX_NESTING, MAX_ZETA_ORDER, MAX_EXPONENT,
-# MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS, MAX_VARIABLES and MAX_RANK of
-# mflef.document.
+# One step past each parser limit in mflef.document.LIMITS: nesting depth,
+# zeta and cyclotomic order, exponent, total degree, power bit size, term
+# count, variable count, and the matrix and module ranks.
 NESTED_POTENTIAL = "[potential]\nw = {expr}\n"
 
 
@@ -476,7 +476,7 @@ roots = zeta(101)^[1]
 """
 
 
-# MAX_VARIABLES is 8 and MAX_RANK 16.  The largest values in the tests,
+# The variable count limit is 8 and the rank limits 16.  The largest values in the tests,
 # fixtures, demos and benchmark documents are 5 variables, 8 rows or entries
 # of a matrix block and 2 module generators.
 NINE_VARIABLES = ", ".join(f"x{i}" for i in range(1, 10))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mflef.groebner import buchberger, normal_form  # noqa: E402
 from mflef.polyring import PolyRing, monomial_div, monomial_lcm  # noqa: E402
+from test_groebner import assert_syzygy_generators  # noqa: E402
 
 R2 = PolyRing(("x", "y"))
 
@@ -85,3 +86,11 @@ def test_ideal_basis_meets_the_buchberger_criterion(gens):
 @given(st.lists(columns, min_size=1, max_size=3))
 def test_module_basis_meets_the_buchberger_criterion(gens):
     _assert_groebner_basis_of(buchberger(gens, rank=2), gens)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda rows: st.lists(st.lists(polys(2), min_size=rows, max_size=rows), min_size=2, max_size=3)
+))
+def test_syzygies_generate_the_kernel(columns):
+    assert_syzygy_generators([list(row) for row in zip(*columns)])

@@ -60,6 +60,56 @@ def test_hom_complex_shapes():
         hom_complex(koszul_mf([x], [x]), koszul_mf([x**2], [x]))
 
 
+def _d_a_slots(hom, parity):
+    """(row, column) of each entry that d_A gives D on the parity block."""
+    da = hom.source.full_matrix()
+    index = hom.pair_index[1 - parity]
+    return [(index[(a, j)], col) for col, (a, b) in enumerate(hom.pairs[parity])
+            for j, entry in enumerate(da[b]) if not entry.is_zero()]
+
+
+def _flip_d_a_sign(hom, parity, mat):
+    if parity == 0:
+        for row, col in _d_a_slots(hom, parity):
+            mat[row][col] = -mat[row][col]
+
+
+def _nonzero_slot(mat):
+    return next((i, j) for i, row in enumerate(mat) for j, e in enumerate(row) if not e.is_zero())
+
+
+def _misplace_an_entry(hom, parity, mat):
+    if parity == 1:
+        i, j = _nonzero_slot(mat)
+        free = next(k for k, row in enumerate(mat) if row[j].is_zero())
+        mat[free][j], mat[i][j] = mat[i][j], mat[free][j]
+
+
+def _drop_an_entry(hom, parity, mat):
+    if parity == 0:
+        i, j = _nonzero_slot(mat)
+        mat[i][j] = hom.ring.zero()
+
+
+@pytest.mark.parametrize("mutate", [_flip_d_a_sign, _misplace_an_entry, _drop_an_entry])
+@pytest.mark.parametrize("ea, eb", [(1, 2), (2, 1), (1, 1)])
+def test_d_squared_check_catches_a_broken_differential(monkeypatch, mutate, ea, eb):
+    # D^2 = 0 is checked by the full product D_(1-p) D_p: a differential with
+    # one parity block built wrongly must not pass it
+    a, b = (koszul_mf([x2, y2**e], [x2, y2 ** (3 - e)]) for e in (ea, eb))
+    hom_complex(a, b)
+    build = mflef.homcoh.HomComplex._build_d
+
+    def mutated(self, parity):
+        mat = build(self, parity)
+        mutate(self, parity, mat)
+        return mat
+
+    monkeypatch.setattr(mflef.homcoh.HomComplex, "_build_d", mutated)
+    with pytest.raises(AssertionError, match="^Hom-complex differential does not square to zero$"):
+        hom_complex(a, b)
+
+
 def test_end_cohomology_dims_a1():
     mf = koszul_mf([x], [x])
     basis = cohomology(hom_complex(mf, mf))

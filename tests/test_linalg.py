@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from mflef import linalg
+from mflef.polyring import PolyRing
 from mflef.scalars import Scalar
 
 
@@ -92,3 +94,41 @@ def test_rank_nullity_and_solve():
 
 def test_solve_reports_an_inconsistent_system():
     assert linalg.solve(_q([[1, 2], [2, 4]]), [Scalar.one(), Scalar.zero()]) is None
+
+
+def _naive_poly_product(a, b, zero, cols):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero) for j in range(cols)]
+            for row in a]
+
+
+def test_polynomial_product_matches_the_sum_of_products():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    rng = random.Random(13)
+    pool = [ring.zero(), ring.zero(), x, y - 1, x * y + 2 * y**2, Scalar.zeta(3) * x**2 - y,
+            ring.const(Scalar.from_rational(Fraction(-1, 2)))]
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 4)] * 3:
+        a = [[rng.choice(pool) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.choice(pool) for _ in range(cols)] for _ in range(inner)]
+        product = linalg.mat_mul(a, b, ring.zero())
+        assert product == _naive_poly_product(a, b, ring.zero(), cols)
+
+
+def test_polynomial_product_drops_what_cancels():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    zero = ring.zero()
+    a = [[x, -x], [x + y, x - y], [zero, zero]]
+    b = [[y, x - y], [y, x + y]]
+    product = linalg.mat_mul(a, b, zero)
+    # row 0: xy - xy cancels, and x(x - y) - x(x + y) = -2xy
+    assert product[0][0].is_zero() and product[0][0].terms == {}
+    assert product[0][1] == -2 * x * y
+    # row 1: (x + y)y + (x - y)y = 2xy, and (x + y)(x - y) + (x - y)(x + y)
+    assert product[1] == [2 * x * y, 2 * x**2 - 2 * y**2]
+    assert all(e.is_zero() for e in product[2])
+    # an empty B takes its width from `cols`; an empty A gives no rows
+    empty = linalg.mat_mul([[], []], [], zero, cols=3)
+    assert [len(row) for row in empty] == [3, 3]
+    assert all(e.is_zero() for row in empty for e in row)
+    assert linalg.mat_mul([], b, zero) == []
