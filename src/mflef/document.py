@@ -522,7 +522,7 @@ def _load_symmetry(doc, data, free, line):
         raise DocumentError(f"unknown potential {pname!r}", line)
     w = doc.potentials[pname]
     roots = parse_symmetry_literal(literal, w.ring.nvars, lit_line)
-    if not check_symmetry(w, [r.to_scalar() for r in roots]):
+    if not check_symmetry(w, roots):
         raise DocumentError(f"{name!r} is not a symmetry of {pname!r}", lit_line)
     if name in doc.symmetries:
         raise DocumentError(f"duplicate symmetry {name!r}", line)

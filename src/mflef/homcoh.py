@@ -24,8 +24,8 @@ from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
 from .mfcore import MatrixFactorization, MFMorphism
-from .polyring import Polynomial, WeightSystem, monomials_of_weighted_degree, scale_substitute
-from .scalars import Scalar, as_scalar
+from .polyring import Polynomial, WeightSystem, monomial_mul, monomials_of_weighted_degree, scale_substitute
+from .scalars import Scalar, power_product
 
 
 class HomComplex:
@@ -74,11 +74,6 @@ class HomComplex:
                     mat[dst_index[(a, j)]][col] = entry if parity else -entry
         return mat
 
-    def flatten(self, phi: MFMorphism):
-        """Column of phi's entries in the flattened basis of its parity."""
-        parity = phi.parity
-        return [phi.matrix[a][b] for (a, b) in self.pairs[parity]]
-
     def unflatten(self, parity, column) -> MFMorphism:
         mat = linalg.zeros(self.target.total_rank, self.source.total_rank, self.ring.zero())
         for (a, b), entry in zip(self.pairs[parity], column):
@@ -104,10 +99,13 @@ class CohomologyBasis:
     basis of the relations.  A reduced basis is unique, so its standard
     monomials are the basis that a separate relation computation would give.
     A cocycle phi = K u reduces in one normal form: (phi, 0) = (K u, u) -
-    (0, u), so its remainder is (0, -v) with v the reduced coordinates of u.
+    (0, u), so its remainder r is (0, -v) with v the reduced coordinates of u.
+    M is a submodule, so m (phi, 0) and m r have the same remainder for any
+    monomial m (`multiple`): that is what makes induced_endomorphism's
+    semilinear shortcut exact.  Only the relations act on m r.
     """
 
-    __slots__ = ("hom", "std", "_kernel_cols", "_gb", "_reps")
+    __slots__ = ("hom", "std", "_kernel_cols", "_gb", "_reps", "_lookup")
 
     def __init__(self, hom: HomComplex):
         self.hom = hom
@@ -158,6 +156,7 @@ class CohomologyBasis:
         self._kernel_cols = tuple(kernels)
         self._gb = tuple(gbs)
         self._reps = tuple([None] * len(keys) for keys in self.std)
+        self._lookup = tuple({key: k for k, key in enumerate(keys)} for keys in self.std)
 
     @property
     def dims(self):
@@ -183,17 +182,31 @@ class CohomologyBasis:
 
     def reduce(self, phi: MFMorphism):
         """Coordinates of a closed morphism's class in the chosen basis."""
-        parity = phi.parity
-        column = self.hom.flatten(phi)
-        gb = self._gb[parity]
+        return self.coordinates(phi.parity, self.remainder(phi))
+
+    def remainder(self, phi: MFMorphism):
+        """Normal form of (phi, 0) modulo M, or None if phi's parity has no cocycles."""
+        column = [phi.matrix[a][b] for (a, b) in self.hom.pairs[phi.parity]]
+        gb = self._gb[phi.parity]
         if gb is None:
             if any(not e.is_zero() for e in column):
                 raise ValueError("morphism is not a cocycle")
-            return []
-        npairs = len(column)
-        rem = normal_form(Vec.from_column(column, gb.rank), gb)
+            return None
+        return normal_form(Vec.from_column(column, gb.rank), gb)
+
+    def multiple(self, parity, rem, mono, factor):
+        """The remainder of factor * mono * (phi, 0), given that of (phi, 0)."""
+        gb = self._gb[parity]
+        terms = {(comp, monomial_mul(m, mono)): c * factor for (comp, m), c in rem.terms.items()}
+        return normal_form(Vec(gb.ring, gb.rank, terms), gb)
+
+    def coordinates(self, parity, rem):
+        """Coordinates of the class whose remainder (see `remainder`) is rem."""
         coords = [Scalar.zero()] * len(self.std[parity])
-        lookup = {key: k for k, key in enumerate(self.std[parity])}
+        if rem is None:
+            return coords
+        npairs = len(self.hom.pairs[parity])
+        lookup = self._lookup[parity]
         for (comp, m), c in rem.terms.items():
             if comp < npairs:
                 raise ValueError("morphism is not a cocycle")
@@ -215,12 +228,11 @@ def twisted_endomorphism_image(t, alpha: MFMorphism, beta: MFMorphism, phi: MFMo
     fixed pair (beta, alpha); it only matters when the twisting morphisms are
     odd, where dropping it would make every supertrace vanish identically.
     """
-    scales = [as_scalar(s) for s in t]
     twisted = MFMorphism(
         alpha.target,
         beta.source,
         phi.parity,
-        [[scale_substitute(e, scales) for e in row] for row in phi.matrix],
+        [[scale_substitute(e, t) for e in row] for row in phi.matrix],
         check_parity=False,
     )
     result = beta.compose(twisted).compose(alpha)
@@ -234,6 +246,12 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
 
     Rows and columns run over the even basis then the odd basis.  alpha and
     beta must be closed; the result is representative-independent.
+
+    The map is t-semilinear over R = k[x]: t^*(m phi) = m(t x) t^*(phi), and
+    composition is R-bilinear.  So the basis element m K_c maps to t^m m Y_c,
+    with Y_c the image of the generator K_c and t^m = prod t_i^(m_i).  Each
+    Y_c is composed and reduced once, to the remainder r_c of (Y_c, 0); the
+    element's coordinates are those of t^m m r_c (see CohomologyBasis).
     """
     if not alpha.is_closed() or not beta.is_closed():
         raise ValueError("alpha and beta must be closed morphisms")
@@ -241,16 +259,20 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
     dims = basis.dims
     out = linalg.zeros(n, n)
     shift = (alpha.parity + beta.parity) % 2
+    offsets = (0, dims[0])
+    unit = (0,) * basis.hom.ring.nvars
     for parity in (0, 1):
-        for k in range(dims[parity]):
-            phi = basis.representative(parity, k)
-            psi = twisted_endomorphism_image(t, alpha, beta, phi)
-            coords = basis.reduce(psi)
-            target_parity = (parity + shift) % 2
-            col = k if parity == 0 else dims[0] + k
-            row_offset = 0 if target_parity == 0 else dims[0]
-            for i, c in enumerate(coords):
-                out[row_offset + i][col] = c
+        target = (parity + shift) % 2
+        images = {}  # component c -> remainder r_c of its generator's image
+        for k, (comp, mono) in enumerate(basis.std[parity]):
+            if comp not in images:
+                generator = basis.representative(parity, basis._lookup[parity][(comp, unit)])
+                images[comp] = basis.remainder(twisted_endomorphism_image(t, alpha, beta, generator))
+            rem = images[comp]
+            if rem is not None and mono != unit:
+                rem = basis.multiple(target, rem, mono, power_product(t, mono))
+            for i, c in enumerate(basis.coordinates(target, rem)):
+                out[offsets[target] + i][offsets[parity] + k] = c
     return out
 
 
@@ -404,10 +426,9 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
         return Scalar.zero()
     if (alpha.parity + beta.parity) % 2:
         raise ValueError("parity-reversing twists have no supertrace")
-    powers = [[Scalar.one(), as_scalar(s)] for s in t]  # t_i^e, extended as needed
     total = Scalar.zero()
     for strand in pair_strands(a, b, weights, shift):
-        t_mat = _twist_matrix(a, b, strand.piece, powers, alpha, beta)
+        t_mat = _twist_matrix(a, b, strand.piece, t, alpha, beta)
         tr = _subquotient_trace(strand, t_mat)
         total = total + (tr if strand.parity == 0 else -tr)
     return total
@@ -473,24 +494,15 @@ def _d_matrix(a, b, src: GradedHomPiece, dst: GradedHomPiece, parity, ring):
     return rows
 
 
-def _twist_matrix(a, b, piece: GradedHomPiece, powers, alpha, beta):
-    """Scalar matrix of the twisted endomorphism on one degree piece.
-
-    powers[i][e] is t_i^e; the table is shared by a call's strands and grows
-    as a monomial needs a higher power.
-    """
+def _twist_matrix(a, b, piece: GradedHomPiece, t, alpha, beta):
+    """Scalar matrix of the twisted endomorphism on one degree piece."""
     pa, pb = a.parities(), b.parities()
     rows = linalg.zeros(len(piece.elements), len(piece.elements))
     for col, (ai, bj, mono) in enumerate(piece.elements):
-        factor = Scalar.one()
+        factor = power_product(t, mono)
         # Koszul sign for moving the element past the (odd) post-twist
         if beta.parity and (pb[ai] + pa[bj]) % 2:
-            factor = Scalar.from_rational(-1)
-        for power, e in zip(powers, mono):
-            if e:
-                while len(power) <= e:
-                    power.append(power[-1] * power[1])
-                factor = factor * power[e]
+            factor = -factor
         for i in range(b.total_rank):
             beta_entry = beta.matrix[i][ai]
             if beta_entry.is_zero():

@@ -37,7 +37,7 @@ from .mfcore import (
     supertrace_at_origin,
 )
 from .polyring import partial_derivative, scale_substitute, set_variables_to_zero
-from .scalars import Scalar, one_minus_zeta_valuation
+from .scalars import Scalar, one_minus_zeta_valuation, power_product
 
 
 class EngineDisagreementError(AssertionError):
@@ -89,6 +89,11 @@ def _inverse_symmetry(t):
     return tuple(r.inverse() for r in t)
 
 
+def _same_mf(x, y):
+    """Whether two factorizations are one: the same object or an equal matrix."""
+    return x is y or x.full_matrix() == y.full_matrix()
+
+
 def _permutation_sign(perm):
     sign = 1
     for i in range(len(perm)):
@@ -111,7 +116,7 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
     give the zero class.
     """
     t = _coerce_symmetry(t)
-    if alpha.source is not mf and alpha.source.full_matrix() != mf.full_matrix():
+    if not _same_mf(alpha.source, mf):
         raise ValueError("alpha must start at the given factorization")
     if not alpha.is_closed():
         raise ValueError("alpha must be closed")
@@ -139,7 +144,7 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
 def tilde_beta(t, beta: MFMorphism) -> MFMorphism:
     """Turn beta: t^*B -> B into the induced morphism B -> (t^{-1})^* B."""
     t = _coerce_symmetry(t)
-    inv = [r.inverse().to_scalar() for r in t]
+    inv = _inverse_symmetry(t)
     source = beta.target
     target = pullback(inv, beta.target)
     matrix = [[scale_substitute(e, inv) for e in row] for row in beta.matrix]
@@ -176,6 +181,10 @@ def lhs_hlf(a, b, t, alpha, beta, engine: str = "groebner") -> Scalar:
     on the same two objects (see pair_cohomology).
     """
     t = _coerce_symmetry(t)
+    if not _same_mf(alpha.source, a):
+        raise ValueError("alpha must start at the source factorization")
+    if not _same_mf(beta.target, b):
+        raise ValueError("beta must end at the target factorization")
     if engine == "groebner":
         basis = pair_cohomology(a, b)
         mat = induced_endomorphism(t, alpha, beta, basis)
@@ -231,11 +240,7 @@ def lunts_check(w, t, case="lunts") -> LefschetzReport:
         det = det * r.to_scalar()
     trace = Scalar.zero()
     for mono in algebra.basis:
-        eig = Scalar.one()
-        for r, e in zip(t, mono):
-            if e:
-                eig = eig * r.to_scalar() ** e
-        trace = trace + eig
+        trace = trace + power_product(t, mono)
     lhs = trace * det * Scalar.from_rational((-1) ** n)
     rhs = Scalar.from_rational(
         (-1) ** (len(ts.fixed_indices)) * ts.milnor.milnor_number

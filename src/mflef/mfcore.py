@@ -437,7 +437,7 @@ def odd_rank11_generator(mf: MatrixFactorization) -> MFMorphism:
 
 def pullback(t, mf: MatrixFactorization) -> MatrixFactorization:
     """Entrywise substitution x_i -> t_i x_i; t must fix the potential."""
-    scales = [as_scalar(s) for s in t]
+    scales = list(t)
     if not (scale_substitute(mf.potential, scales) == mf.potential):
         raise ValueError("t is not a symmetry of the potential")
     d0 = [[scale_substitute(e, scales) for e in row] for row in mf.d0]

@@ -162,7 +162,7 @@ class TraceSpace:
         t = _coerce_symmetry(t)
         if len(t) != w.ring.nvars:
             raise ValueError("one symmetry entry per variable required")
-        if not check_symmetry(w, [r.to_scalar() for r in t]):
+        if not check_symmetry(w, t):
             raise ValueError("t is not a diagonal symmetry of the potential")
         fixed = tuple(i for i, r in enumerate(t) if r.is_one())
         moving = tuple(i for i, r in enumerate(t) if not r.is_one())

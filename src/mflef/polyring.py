@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .linalg import echelon_form
-from .scalars import RootOfUnity, Scalar, as_scalar
+from .scalars import RootOfUnity, Scalar, as_scalar, power_product
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -321,15 +321,12 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
 
 def scale_substitute(f: Polynomial, scales) -> Polynomial:
     """f(t_1 x_1, ..., t_n x_n) for scalar (root-of-unity) multipliers t_i."""
-    ts = [as_scalar(t) for t in scales]
+    ts = [t if isinstance(t, RootOfUnity) else as_scalar(t) for t in scales]
     if len(ts) != f.ring.nvars:
         raise ValueError("one multiplier per variable required")
     terms: dict = {}
     for m, c in f.terms.items():
-        factor = c
-        for t, e in zip(ts, m):
-            if e:
-                factor = factor * t**e
+        factor = c * power_product(ts, m) if any(m) else c
         if not factor.is_zero():
             terms[m] = factor
     return Polynomial(f.ring, terms)

@@ -41,46 +41,22 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def poly_divmod(num, den):
-    """Quotient and remainder of univariate polynomials over Q.
-
-    Coefficients are ascending and exact (Fractions, or ints in `den`); both
-    results are trimmed lists of Fractions, the zero polynomial being [0].
-    """
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    den = list(den)
-    while den and not den[-1]:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if len(num) < len(den):
-        return [Fraction(0)], num or [Fraction(0)]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    rem = num[: len(den) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    return out, rem or [Fraction(0)]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, ascending, monic, integral."""
-    if m == 1:
-        return (-1, 1)
-    poly = [Fraction(0)] * m + [Fraction(1)]
-    poly[0] = Fraction(-1)  # x^m - 1
+    """Coefficients of Phi_m, ascending, monic, integral: x^m - 1 divided
+    exactly, on ints, by the monic Phi_d of each proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
-        if m % d == 0:
-            poly, _ = poly_divmod(poly, cyclotomic_polynomial(d))
-    return tuple(int(c) for c in poly)
+        if m % d:
+            continue
+        den = cyclotomic_polynomial(d)
+        quot = [0] * (len(poly) - len(den) + 1)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = poly[i + len(den) - 1]
+            for j, x in enumerate(den):
+                poly[i + j] -= c * x
+        poly = quot
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -488,6 +464,17 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, (int, Fraction)):
         return _rational(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+
+def power_product(scales, mono) -> Scalar:
+    """The product of the t_i^(m_i) with m_i > 0, 1 for the unit monomial; a
+    RootOfUnity zeta_n^a gives zeta_n^(a m_i) by exponent arithmetic."""
+    factor = None
+    for t, e in zip(scales, mono):
+        if e:
+            p = Scalar.zeta(t.order, t.exponent * e) if isinstance(t, RootOfUnity) else as_scalar(t) ** e
+            factor = p if factor is None else factor * p
+    return _ONE if factor is None else factor
 
 
 def cyclo_reduce(coefficients, m: int) -> Scalar:

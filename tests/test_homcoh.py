@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -15,6 +16,8 @@ from mflef.mfcore import (
     koszul_mf,
     odd_rank11_generator,
     pullback,
+    tensor_mf,
+    tensor_morphisms,
 )
 from mflef.lefschetz import lhs_hlf, pair_cohomology
 from mflef.homcoh import (
@@ -25,6 +28,7 @@ from mflef.homcoh import (
     hom_complex,
     induced_endomorphism,
     supertrace_on_cohomology,
+    twisted_endomorphism_image,
 )
 
 R1 = PolyRing(("x",))
@@ -602,3 +606,148 @@ def test_graded_entry_leaves_no_cycle_back_to_its_source():
             gc.enable()
     gc.collect()
     assert ref() is None
+
+
+# -- the induced endomorphism by semilinearity ------------------------------------
+
+
+def _elementwise_matrix(t, alpha, beta, basis):
+    """The induced matrix built one basis element at a time: each
+    representative twisted, composed and reduced on its own."""
+    n, dims = basis.total_dim(), basis.dims
+    out = linalg.zeros(n, n)
+    shift = (alpha.parity + beta.parity) % 2
+    offsets = (0, dims[0])
+    for parity in (0, 1):
+        target = (parity + shift) % 2
+        for k in range(dims[parity]):
+            image = twisted_endomorphism_image(t, alpha, beta, basis.representative(parity, k))
+            for i, c in enumerate(basis.reduce(image)):
+                out[offsets[target] + i][offsets[parity] + k] = c
+    return out
+
+
+def _stored(matrix):
+    """Entries as stored: equal values of different cyclotomic order print
+    differently, so they count as different here."""
+    return [[(c.order, c.num, c.den) for c in row] for row in matrix]
+
+
+def _times(p, phi):
+    """p phi for a polynomial p: closed when phi is, and in general not
+    homotopic to a scalar multiple of phi, so images leave the unit monomials."""
+    return MFMorphism(phi.source, phi.target, phi.parity, [[p * e for e in row] for row in phi.matrix])
+
+
+def _has_non_unit_monomial(basis):
+    return any(any(m) for keys in basis.std for _, m in keys)
+
+
+def test_induced_endomorphism_matches_elementwise_reduction_in_one_variable():
+    # every pair (x^a, x^(d-a)), (x^b, x^(d-b)) of x^d, d <= 7, and every
+    # t = zeta_d^j, with alpha perturbed by a seeded multiple of itself and a
+    # seeded coboundary
+    rng = random.Random(13)
+    non_unit = 0
+    for d in range(2, 8):
+        mfs = {a: MatrixFactorization(x**d, [[x**a]], [[x ** (d - a)]]) for a in range(1, d)}
+        bases = {(a, b): cohomology(hom_complex(mfs[a], mfs[b])) for a in mfs for b in mfs}
+        non_unit += sum(_has_non_unit_monomial(basis) for basis in bases.values())
+        for j in range(1, d):
+            t = [RootOfUnity(d, j)]
+            for a, A in mfs.items():
+                psi = MFMorphism.from_blocks(
+                    A, pullback(t, A), 1,
+                    [[R1.monomial((rng.randint(0, 2),), rng.randint(-3, 3))]],
+                    [[R1.monomial((rng.randint(0, 2),), rng.randint(-3, 3))]],
+                )
+                natural = natural_alpha(A, d, a, j)
+                multiple = R1.monomial((rng.randint(1, 2),), rng.randint(-3, 3))
+                alpha = natural + _times(multiple, natural) + psi.differential()
+                assert alpha.is_closed()
+                for b, B in mfs.items():
+                    beta = natural_alpha(B, d, b, j).inverse()
+                    basis = bases[(a, b)]
+                    assert _stored(induced_endomorphism(t, alpha, beta, basis)) == \
+                        _stored(_elementwise_matrix(t, alpha, beta, basis))
+    assert non_unit > 0
+
+
+def _koszul(ring, degrees, exps):
+    v = [ring.var(i) for i in range(ring.nvars)]
+    return koszul_mf([v[i] ** e for i, e in enumerate(exps)],
+                     [v[i] ** (d - e) for i, (d, e) in enumerate(zip(degrees, exps))])
+
+
+def _sign_structure(mf, signs, exps):
+    """e_S -> prod_{i in S} signs_i^(exps_i) e_S: closed, as every x_i^(d_i) is fixed."""
+    t = [RootOfUnity(2, 1) if s == -1 else RootOfUnity(1, 0) for s in signs]
+    subsets = sorted(range(1 << len(exps)), key=lambda s: (bin(s).count("1") % 2, s))
+    scales = [math.prod(signs[i] ** exps[i] for i in range(len(exps)) if s >> i & 1)
+              for s in subsets]
+    phi = MFMorphism.diagonal(mf, pullback(t, mf), scales)
+    assert phi.is_closed()
+    return t, phi
+
+
+SIGN_TWISTED_KOSZUL_PAIRS = [
+    ((6, 6), (2, 3), (3, 2), (-1, -1)),
+    ((6, 6), (3, 3), (3, 3), (-1, -1)),
+    ((6, 6), (1, 5), (4, 3), (-1, -1)),
+    ((6, 6), (2, 2), (4, 1), (-1, 1)),
+    ((2, 2, 4), (1, 1, 2), (1, 1, 2), (-1, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("degrees, a_exps, b_exps, signs", SIGN_TWISTED_KOSZUL_PAIRS,
+                         ids=["x6y6-23-32", "x6y6-33-33", "x6y6-15-43", "x6y6-22-41", "x2y2z4"])
+def test_induced_endomorphism_matches_elementwise_reduction_on_koszul_pairs(
+        degrees, a_exps, b_exps, signs):
+    ring = R2 if len(degrees) == 2 else PolyRing(("x", "y", "z"))
+    a, b = _koszul(ring, degrees, a_exps), _koszul(ring, degrees, b_exps)
+    t, alpha = _sign_structure(a, signs, a_exps)
+    beta = _sign_structure(b, signs, b_exps)[1].inverse()
+    basis = cohomology(hom_complex(a, b))
+    assert _stored(induced_endomorphism(t, alpha, beta, basis)) == \
+        _stored(_elementwise_matrix(t, alpha, beta, basis))
+    alpha = alpha + _times(ring.var(0) - 2 * ring.var(1), alpha)
+    assert _stored(induced_endomorphism(t, alpha, beta, basis)) == \
+        _stored(_elementwise_matrix(t, alpha, beta, basis))
+
+
+def test_induced_endomorphism_matches_elementwise_reduction_on_odd_twists():
+    # w = x^5 + y^2, A = (x^2, x^3) (x) (y, y), t = (zeta_5, 1): odd alpha
+    # and beta (the Koszul sign), and one odd with one even (a parity shift)
+    fx = koszul_mf([PolyRing(("x",)).var("x") ** 2], [PolyRing(("x",)).var("x") ** 3])
+    fy = koszul_mf([PolyRing(("y",)).var("y")], [PolyRing(("y",)).var("y")])
+    a = tensor_mf(fx, fy)
+    t = [RootOfUnity(5, 1), RootOfUnity(1, 0)]
+    twisted = pullback(t, a)
+    u = MFMorphism.diagonal(fx, pullback(t[:1], fx), [Scalar.one(), Scalar.zeta(5, 2)])
+    odd = tensor_morphisms(u, odd_rank11_generator(fy), source=a, target=twisted)
+    even = tensor_morphisms(u, MFMorphism.identity(fy), source=a, target=twisted)
+    basis = cohomology(hom_complex(a, a))
+    assert _has_non_unit_monomial(basis)
+    for alpha, beta in ((odd, odd.inverse()), (odd, even.inverse()), (even, odd.inverse()),
+                        (odd + _times(a.ring.var(0), odd), even.inverse())):
+        assert _stored(induced_endomorphism(t, alpha, beta, basis)) == \
+            _stored(_elementwise_matrix(t, alpha, beta, basis))
+
+
+def test_induced_endomorphism_twists_each_generator_once(monkeypatch):
+    # one twisted image per generator component in use, not per basis element
+    a = _koszul(R2, (6, 6), (3, 3))
+    t, alpha = _sign_structure(a, (-1, -1), (3, 3))
+    beta = alpha.inverse()
+    basis = cohomology(hom_complex(a, a))
+    components = {(parity, comp) for parity in (0, 1) for comp, _ in basis.std[parity]}
+    assert len(components) < basis.total_dim()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return twisted_endomorphism_image(*args)
+
+    monkeypatch.setattr(mflef.homcoh, "twisted_endomorphism_image", counted)
+    induced_endomorphism(t, alpha, beta, basis)
+    assert len(calls) == len(components)

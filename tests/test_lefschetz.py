@@ -7,7 +7,7 @@ import pytest
 import mflef.lefschetz
 from mflef.homcoh import cohomology, hom_complex
 from mflef.scalars import RootOfUnity, Scalar
-from mflef.polyring import PolyRing
+from mflef.polyring import PolyRing, scale_substitute
 from mflef.mfcore import (
     MatrixFactorization,
     MFMorphism,
@@ -316,6 +316,50 @@ def test_boundary_bulk_linear_and_kills_coboundaries():
     # scalar linearity
     c = Scalar.from_rational(Fraction(7, 2))
     assert boundary_bulk(mf, t, alpha.scale(c)).class_poly == tau.class_poly * c
+
+
+@pytest.mark.parametrize("engine", ["groebner", "graded", "both"])
+def test_lhs_hlf_checks_the_endpoints_before_either_engine(engine):
+    # alpha must start at A and beta end at B; without the check, an alpha
+    # of B = (x^2, x) where A = (x, x^2) is expected reached the engines and
+    # failed there as "not a cocycle" or "no internal grading"
+    a = MatrixFactorization(x**3, [[x]], [[x**2]])
+    b = MatrixFactorization(x**3, [[x**2]], [[x]])
+    t = [RootOfUnity(3, 1)]
+    alpha_a = MFMorphism.diagonal(a, pullback(t, a), [Scalar.one(), Scalar.zeta(3)])
+    alpha_b = MFMorphism.diagonal(b, pullback(t, b), [Scalar.one(), Scalar.zeta(3, 2)])
+    beta_a, beta_b = alpha_a.inverse(), alpha_b.inverse()
+    with pytest.raises(ValueError, match="^alpha must start at the source factorization$"):
+        lhs_hlf(a, a, t, alpha_b, beta_a, engine=engine)
+    with pytest.raises(ValueError, match="^beta must end at the target factorization$"):
+        lhs_hlf(a, b, t, alpha_a, beta_a, engine=engine)
+    # an equal factorization that is another object matches
+    if engine == "groebner":
+        copy = MatrixFactorization(x**3, [[x]], [[x**2]])
+        assert lhs_hlf(copy, b, t, alpha_a, beta_b) == lhs_hlf(a, b, t, alpha_a, beta_b)
+
+
+def test_roots_of_unity_are_raised_by_exponent_arithmetic(monkeypatch):
+    # a RootOfUnity t_i enters as zeta_m^(a e), with the same stored form as
+    # the power of the Scalar zeta_m^a, and Scalar.__pow__ is never called
+    f = 3 * x**7 - x**2 + 5
+    t = [RootOfUnity(3, 1), RootOfUnity(4, 3)]
+
+    def run():
+        mf, t1, alpha, beta = a2_data()
+        return [str(verify_isolated(mf, mf, t1, alpha, beta)), str(lunts_check(x2**3 + y2**4, t))]
+
+    expected = {m: (c.order, c.num, c.den)
+                for m, c in scale_substitute(f, [Scalar.zeta(6, 5)]).terms.items()}
+    reports = run()
+
+    def no_pow(*args):
+        raise AssertionError("Scalar.__pow__ called")
+
+    monkeypatch.setattr(Scalar, "__pow__", no_pow)
+    got = scale_substitute(f, [RootOfUnity(6, 5)])
+    assert {m: (c.order, c.num, c.den) for m, c in got.terms.items()} == expected
+    assert run() == reports
 
 
 def test_lhs_hlf_homotopy_invariance():

@@ -30,6 +30,22 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    # prod over d | m of Phi_d = x^m - 1
+    for m in range(1, 101):
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert phi[-1] == 1 and len(phi) == euler_phi(d) + 1
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, p in enumerate(product):
+                    for j, q in enumerate(phi):
+                        out[i + j] += p * q
+                product = out
+        assert product == [-1] + [0] * (m - 1) + [1]
+
+
 def test_cyclo_reduce_examples():
     # zeta_4^2 = -1 since Phi_4 = x^2 + 1
     assert cyclo_reduce([0, 0, 1], 4) == Scalar.from_rational(-1)
