@@ -13,7 +13,10 @@ phi -> beta o t^*(phi) o alpha:
   on a pair's first request and kept on the source factorization
   (pair_strands), so a later twist of the pair builds only its twist matrices.
 
-They are independent; the corpus runner cross-checks them.
+They are independent; the corpus runner cross-checks them.  Both read D off
+one rule, the image of each unit cochain e_ij (_d_column).  The graded engine
+states its twist the same way: x^m e_ij maps to t^m x^m times the image of
+e_ij, and one slicer (_slice) reads every scalar matrix of a piece off them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
-from .mfcore import MatrixFactorization, MFMorphism
+from .mfcore import MatrixFactorization, MFMorphism, _same_mf
 from .polyring import Polynomial, WeightSystem, monomial_mul, monomials_of_weighted_degree, scale_substitute
 from .scalars import Scalar, power_product
 
@@ -58,20 +61,13 @@ class HomComplex:
                 raise AssertionError("Hom-complex differential does not square to zero")
 
     def _build_d(self, parity):
-        """Matrix of D = d_B phi - (-1)^parity phi d_A on the parity block.  Its
-        two terms never share an entry: an odd operator has a zero diagonal."""
-        src_pairs = self.pairs[parity]
+        """Matrix of D on the parity block, column by column (see _d_column)."""
         dst_index = self.pair_index[1 - parity]
-        db = self.target.full_matrix()
-        da = self.source.full_matrix()
-        mat = linalg.zeros(len(self.pairs[1 - parity]), len(src_pairs), self.ring.zero())
-        for col, (a, b) in enumerate(src_pairs):
-            for i, row in enumerate(db):
-                if not row[a].is_zero():
-                    mat[dst_index[(i, b)]][col] = row[a]
-            for j, entry in enumerate(da[b]):
-                if not entry.is_zero():
-                    mat[dst_index[(a, j)]][col] = entry if parity else -entry
+        db, da = self.target.full_matrix(), self.source.full_matrix()
+        mat = linalg.zeros(len(self.pairs[1 - parity]), len(self.pairs[parity]), self.ring.zero())
+        for col, (a, b) in enumerate(self.pairs[parity]):
+            for key, entry in _d_column(da, db, a, b, parity):
+                mat[dst_index[key]][col] = entry
         return mat
 
     def unflatten(self, parity, column) -> MFMorphism:
@@ -79,6 +75,14 @@ class HomComplex:
         for (a, b), entry in zip(self.pairs[parity], column):
             mat[a][b] = entry
         return MFMorphism(self.source, self.target, parity, mat, check_parity=False)
+
+
+def _d_column(da, db, i, j, parity):
+    """D e_ij = d_B e_ij - (-1)^parity e_ij d_A for the unit cochain e_ij of that
+    parity, as ((row, column), entry) pairs.  Its two terms never share an
+    entry: an odd operator has a zero diagonal."""
+    column = [((k, j), row[i]) for k, row in enumerate(db) if not row[i].is_zero()]
+    return column + [((i, l), e if parity else -e) for l, e in enumerate(da[j]) if not e.is_zero()]
 
 
 def hom_complex(source: MatrixFactorization, target: MatrixFactorization) -> HomComplex:
@@ -241,6 +245,14 @@ def twisted_endomorphism_image(t, alpha: MFMorphism, beta: MFMorphism, phi: MFMo
     return result
 
 
+def _check_endpoints(a, b, alpha, beta):
+    """alpha must leave the pair's source and beta reach its target."""
+    if not _same_mf(alpha.source, a):
+        raise ValueError("alpha must start at the source factorization")
+    if not _same_mf(beta.target, b):
+        raise ValueError("beta must end at the target factorization")
+
+
 def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: CohomologyBasis):
     """Matrix of phi -> beta o t^*(phi) o alpha on the cohomology basis.
 
@@ -253,6 +265,7 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
     Y_c is composed and reduced once, to the remainder r_c of (Y_c, 0); the
     element's coordinates are those of t^m m r_c (see CohomologyBasis).
     """
+    _check_endpoints(basis.hom.source, basis.hom.target, alpha, beta)
     if not alpha.is_closed() or not beta.is_closed():
         raise ValueError("alpha and beta must be closed morphisms")
     n = basis.total_dim()
@@ -311,6 +324,8 @@ def _grading_degree(matrix, weights, grading, error):
 
 def _weights_and_shift(a, b):
     """Weights of the potential and the odd operator's degree shift shared by A and B."""
+    if not (a.potential == b.potential):
+        raise ValueError("factorizations have different potentials")
     ws = WeightSystem.of(a.potential)
     if ws is None:
         raise ValueError("potential is not quasi-homogeneous")
@@ -377,9 +392,11 @@ def _strands(a, b, weights, s_deg):
     piece is built once per call, and so is each matrix: the m_out of C^P_d
     is the m_in of C^{1-P}_{d+s}.
     """
-    ring = a.ring
     ga, gb = a.grading_list(), b.grading_list()
     pa, pb = a.parities(), b.parities()
+    da, db = a.full_matrix(), b.full_matrix()
+    columns = {(i, j): _d_column(da, db, i, j, (pb[i] + pa[j]) % 2)
+               for i in range(b.total_rank) for j in range(a.total_rank)}
     pieces = {}
     outs = {}  # (P, d) -> m_out of C^P_d, until it serves as an m_in
 
@@ -394,11 +411,10 @@ def _strands(a, b, weights, s_deg):
             middle = piece(parity, d)
             if not middle.elements:
                 continue
-            m_out = outs[(parity, d)] = _d_matrix(
-                a, b, middle, piece(1 - parity, d + s_deg), parity, ring)
+            m_out = outs[(parity, d)] = _slice(middle, piece(1 - parity, d + s_deg), columns)
             m_in = outs.pop((1 - parity, d - s_deg), None)
             if m_in is None:
-                m_in = _d_matrix(a, b, piece(1 - parity, d - s_deg), middle, 1 - parity, ring)
+                m_in = _slice(piece(1 - parity, d - s_deg), middle, columns)
             yield parity, middle, m_out, m_in
 
 
@@ -413,6 +429,7 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
     pair_strands); a call builds only its twist matrices.
     """
     weights, shift = _weights_and_shift(a, b)
+    _check_endpoints(a, b, alpha, beta)
     if not alpha.is_closed() or not beta.is_closed():
         raise ValueError("alpha and beta must be closed morphisms")
     twist_degree = sum(
@@ -426,9 +443,17 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
         return Scalar.zero()
     if (alpha.parity + beta.parity) % 2:
         raise ValueError("parity-reversing twists have no supertrace")
+    pa, pb = a.parities(), b.parities()
+    columns = {}  # e_ij -> (-1)^(|e_ij||beta|) beta e_ij alpha; t^*(x^m e_ij) = t^m x^m e_ij
+    for i in range(b.total_rank):
+        for j in range(a.total_rank):
+            odd = beta.parity and (pb[i] + pa[j]) % 2
+            columns[(i, j)] = [((k, l), -(row[i] * e) if odd else row[i] * e)
+                               for k, row in enumerate(beta.matrix) if not row[i].is_zero()
+                               for l, e in enumerate(alpha.matrix[j]) if not e.is_zero()]
     total = Scalar.zero()
     for strand in pair_strands(a, b, weights, shift):
-        t_mat = _twist_matrix(a, b, strand.piece, t, alpha, beta)
+        t_mat = _slice(strand.piece, strand.piece, columns, lambda m: power_product(t, m))
         tr = _subquotient_trace(strand, t_mat)
         total = total + (tr if strand.parity == 0 else -tr)
     return total
@@ -467,60 +492,19 @@ def _piece(a, b, weights, ga, gb, pa, pb, parity, degree) -> GradedHomPiece:
     return GradedHomPiece(elements)
 
 
-def _d_matrix(a, b, src: GradedHomPiece, dst: GradedHomPiece, parity, ring):
-    """Scalar matrix of D between two degree pieces."""
-    da, db = a.full_matrix(), b.full_matrix()
-    sign = Scalar.from_rational(1 if parity == 0 else -1)
+def _slice(src: GradedHomPiece, dst: GradedHomPiece, columns, factor=None):
+    """Scalar matrix, from piece src to piece dst, of the operator sending x^m e_ij
+    to factor(m) x^m columns[(i, j)], with factor 1 if None.  columns[(i, j)] is
+    the image of the unit cochain e_ij as ((k, l), polynomial) pairs, each (k, l)
+    at most once, so no two terms of a column meet in one entry."""
     rows = linalg.zeros(len(dst.elements), len(src.elements))
-    for col, (ai, bj, mono) in enumerate(src.elements):
-        for i in range(b.total_rank):
-            entry = db[i][ai]
-            if entry.is_zero():
-                continue
+    for col, (i, j, mono) in enumerate(src.elements):
+        scale = None if factor is None else factor(mono)
+        for (k, l), entry in columns[(i, j)]:
             for m, c in entry.terms.items():
-                key = (i, bj, tuple(x + y for x, y in zip(m, mono)))
-                row = dst.index.get(key)
+                row = dst.index.get((k, l, monomial_mul(m, mono)))
                 if row is not None:
-                    rows[row][col] = rows[row][col] + c
-        for j in range(a.total_rank):
-            entry = da[bj][j]
-            if entry.is_zero():
-                continue
-            for m, c in entry.terms.items():
-                key = (ai, j, tuple(x + y for x, y in zip(m, mono)))
-                row = dst.index.get(key)
-                if row is not None:
-                    rows[row][col] = rows[row][col] - c * sign
-    return rows
-
-
-def _twist_matrix(a, b, piece: GradedHomPiece, t, alpha, beta):
-    """Scalar matrix of the twisted endomorphism on one degree piece."""
-    pa, pb = a.parities(), b.parities()
-    rows = linalg.zeros(len(piece.elements), len(piece.elements))
-    for col, (ai, bj, mono) in enumerate(piece.elements):
-        factor = power_product(t, mono)
-        # Koszul sign for moving the element past the (odd) post-twist
-        if beta.parity and (pb[ai] + pa[bj]) % 2:
-            factor = -factor
-        for i in range(b.total_rank):
-            beta_entry = beta.matrix[i][ai]
-            if beta_entry.is_zero():
-                continue
-            for mb, cb in beta_entry.terms.items():
-                for j in range(a.total_rank):
-                    alpha_entry = alpha.matrix[bj][j]
-                    if alpha_entry.is_zero():
-                        continue
-                    for ma, ca in alpha_entry.terms.items():
-                        key = (
-                            i,
-                            j,
-                            tuple(x + y + z for x, y, z in zip(mono, mb, ma)),
-                        )
-                        row = piece.index.get(key)
-                        if row is not None:
-                            rows[row][col] = rows[row][col] + factor * cb * ca
+                    rows[row][col] = c if scale is None else c * scale
     return rows
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import linalg
 from .homcoh import (
     CohomologyBasis,
+    _check_endpoints,
     cohomology,
     graded_euler_supertrace,
     hom_complex,
@@ -32,12 +33,13 @@ from .milnor import (
 from .mfcore import (
     MatrixFactorization,
     MFMorphism,
+    _same_mf,
     equivariance_power_check,
     pullback,
     supertrace_at_origin,
 )
 from .polyring import partial_derivative, scale_substitute, set_variables_to_zero
-from .scalars import Scalar, one_minus_zeta_valuation, power_product
+from .scalars import Scalar, _require_prime, one_minus_zeta_valuation, power_product
 
 
 class EngineDisagreementError(AssertionError):
@@ -87,11 +89,6 @@ def _report(case, lhs, rhs, engine, start) -> LefschetzReport:
 
 def _inverse_symmetry(t):
     return tuple(r.inverse() for r in t)
-
-
-def _same_mf(x, y):
-    """Whether two factorizations are one: the same object or an equal matrix."""
-    return x is y or x.full_matrix() == y.full_matrix()
 
 
 def _permutation_sign(perm):
@@ -181,10 +178,7 @@ def lhs_hlf(a, b, t, alpha, beta, engine: str = "groebner") -> Scalar:
     on the same two objects (see pair_cohomology).
     """
     t = _coerce_symmetry(t)
-    if not _same_mf(alpha.source, a):
-        raise ValueError("alpha must start at the source factorization")
-    if not _same_mf(beta.target, b):
-        raise ValueError("beta must end at the target factorization")
+    _check_endpoints(a, b, alpha, beta)
     if engine == "groebner":
         basis = pair_cohomology(a, b)
         mat = induced_endomorphism(t, alpha, beta, basis)
@@ -291,6 +285,7 @@ def divisibility_check(a: MatrixFactorization, t, alpha: MFMorphism, p: int,
     for r in t:
         if not (r.to_scalar() ** p == 1):
             raise ValueError("symmetry must have order dividing p")
+    _require_prime(p)  # fast here: a composite p has a factor at most any t_i's order
     if not equivariance_power_check(t, alpha, p):
         raise ValueError("alpha is not a Z/p-equivariant structure")
     if a.r0 != a.r1:

@@ -277,6 +277,11 @@ def morphism_closed(phi: MFMorphism) -> bool:
     return phi.is_closed()
 
 
+def _same_mf(x, y):
+    """Whether two factorizations are one: the same object or an equal matrix."""
+    return x is y or x.full_matrix() == y.full_matrix()
+
+
 # -- constructions ------------------------------------------------------------
 
 

@@ -231,6 +231,8 @@ def canonical_pairing(u: TraceSpaceElement, v: TraceSpaceElement) -> Scalar:
     (the twisted supertraces of odd twisting morphisms see it) and is frozen.
     """
     su, sv = u.space, v.space
+    if not (su.potential == sv.potential):
+        raise ValueError("pairing requires the same potential")
     if su.fixed_indices != sv.fixed_indices:
         raise ValueError("pairing requires identical fixed coordinate sets")
     for a, b in zip(su.symmetry, sv.symmetry):

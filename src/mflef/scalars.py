@@ -493,14 +493,19 @@ def norm_to_rational(a: Scalar) -> Fraction:
     return as_scalar(a).norm_to_rational()
 
 
+def _require_prime(p: int):
+    """Raise ValueError unless p is prime, by trial division up to sqrt(p)."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError("p must be prime")
+
+
 def one_minus_zeta_valuation(a: Scalar, p: int):
     """The exact power of (1 - zeta_p) dividing `a` in Z[zeta_p]; inf for 0.
 
     The prime p is totally ramified: p = unit * (1 - zeta_p)^(p-1), so the
     valuation of an algebraic integer equals the p-adic valuation of its norm.
     """
-    if p < 2 or any(p % q == 0 for q in range(2, p)):
-        raise ValueError("p must be prime")
+    _require_prime(p)
     a = as_scalar(a)
     if p % a.order:
         raise NonIntegralError("scalar does not lie in Q(zeta_p)")

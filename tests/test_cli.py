@@ -571,3 +571,86 @@ def test_stabilize_needs_a_homogeneous_potential(tmp_path):
         "error: the potential is not homogeneous in the standard grading"
     ]
     assert "Traceback" not in proc.stderr
+
+
+DIFFERENT_POTENTIALS = """
+[potential]
+w = x^3
+
+[potential]
+v = x^6
+
+[symmetry]
+name = t
+potential = w
+roots = zeta(3)^[1]
+
+[mf]
+name = A
+potential = w
+d0 = { x }
+d1 = { x^2 }
+grading_even = 0
+grading_odd = 1/6
+
+[mf]
+name = B
+potential = v
+d0 = { x^2 }
+d1 = { x^4 }
+grading_even = 0
+grading_odd = 1/6
+
+[morphism]
+name = alpha
+source = A
+target = A
+twist = t
+twisted = target
+parity = even
+mat = {
+1 ; 0
+0 ; zeta(3)
+}
+
+[morphism]
+name = beta
+source = B
+target = B
+twist = t
+twisted = source
+parity = even
+mat = {
+1 ; 0
+0 ; zeta(3)
+}
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pair", "A", "B", "t", "alpha", "beta"], "pairing requires the same potential"),
+    (["hlf-verify", "A", "B", "t", "alpha", "beta", "--engine", "graded"],
+     "factorizations have different potentials"),
+    (["hlf-verify", "A", "B", "t", "alpha", "beta"], "factorizations have different potentials"),
+], ids=["pair", "graded", "groebner"])
+def test_pair_over_different_potentials_is_input_error(argv, message, tmp_path, capsys):
+    # classes of H(w_t) and H(v_t) for w != v have no pairing between them
+    doc = tmp_path / "potentials.mflef"
+    doc.write_text(DIFFERENT_POTENTIALS)
+    assert _run(argv + ["-i", str(doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("p", ["4", "1000000", "2000000000"])
+def test_divisibility_refuses_a_composite_p_before_the_power_check(p, monkeypatch, capsys):
+    # the power check composes p - 1 twists of alpha; a composite p must be
+    # refused before it, not after
+    from mflef import lefschetz
+
+    def unbounded(t, alpha, p):
+        raise AssertionError("the power check ran")
+
+    monkeypatch.setattr(lefschetz, "equivariance_power_check", unbounded)
+    argv = ["divisibility", "K", "minus", "sign", p, "-i", str(FIXTURES / "passing.mflef")]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: p must be prime"]

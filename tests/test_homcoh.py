@@ -334,6 +334,7 @@ def test_cohomology_basis_makes_one_elimination_per_parity(monkeypatch):
     ("ungraded target", "factorization carries no internal grading"),
     ("ungraded source", "factorization carries no internal grading"),
     ("non-quasi-homogeneous", "potential is not quasi-homogeneous"),
+    ("different potentials", "factorizations have different potentials"),
 ])
 def test_graded_functions_validate_alike(case, message):
     graded, ungraded = graded_rank11(1, 3), koszul_mf([x], [x**2])
@@ -341,12 +342,29 @@ def test_graded_functions_validate_alike(case, message):
         "ungraded target": (graded, ungraded),
         "ungraded source": (ungraded, graded),
         "non-quasi-homogeneous": (koszul_mf([x], [x + x**2], gradings=[Fraction(1, 2)]),) * 2,
+        "different potentials": (graded, graded_rank11(2, 6)),
     }[case]
     ident = MFMorphism.identity(a)
     with pytest.raises(ValueError, match=message):
         graded_cohomology_dimensions(a, b)
     with pytest.raises(ValueError, match=message):
         graded_euler_supertrace(a, b, [RootOfUnity(1, 0)], ident, ident)
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("alpha", "alpha must start at the source factorization"),
+    ("beta", "beta must end at the target factorization"),
+])
+def test_engines_check_the_twist_endpoints(wrong, message):
+    # called directly, each engine refuses a twist that leaves or reaches the
+    # wrong factorization, as lhs_hlf does
+    a, b = graded_rank11(1, 3), graded_rank11(2, 3)
+    t = [RootOfUnity(1, 0)]
+    alpha = beta = MFMorphism.identity(b if wrong == "alpha" else a)
+    with pytest.raises(ValueError, match=message):
+        induced_endomorphism(t, alpha, beta, cohomology(hom_complex(a, b)))
+    with pytest.raises(ValueError, match=message):
+        graded_euler_supertrace(a, b, t, alpha, beta)
 
 
 def test_graded_engine_rejects_a_twist_that_is_not_closed():

@@ -119,7 +119,8 @@ def test_verify_hlf_a2():
     assert rep.lhs == 1 - Scalar.zeta(3, 2)
 
 
-def test_verify_hlf_cubic_tensor_even_and_odd():
+@pytest.mark.parametrize("engine", ["groebner", "graded", "both"])
+def test_verify_hlf_cubic_tensor_even_and_odd(engine):
     # w = x^3 + y^3, t = (zeta_3, 1), A = B built by tensor_mf
     fx, fy = kfac("x", 1, 3), kfac("y", 1, 3)
     A = tensor_mf(fx, fy)
@@ -128,7 +129,7 @@ def test_verify_hlf_cubic_tensor_even_and_odd():
     u = MFMorphism.diagonal(fx, pullback([RootOfUnity(3, 1)], fx), [Scalar.one(), Scalar.zeta(3, 2)])
     # natural even alpha with beta = alpha^{-1}: both sides vanish (odd fixed locus)
     alpha_even = tensor_morphisms(u, MFMorphism.identity(fy), source=A, target=tgt)
-    rep = verify_hlf(A, A, t, alpha_even, alpha_even.inverse(), case="cubic-even")
+    rep = verify_hlf(A, A, t, alpha_even, alpha_even.inverse(), engine=engine, case="cubic-even")
     assert rep.equal and rep.lhs.is_zero() and rep.rhs.is_zero()
     # odd alpha and beta: the pairing runs through nonzero classes in H(y^3),
     # which are all proportional to y, so the value is again exactly zero
@@ -137,11 +138,12 @@ def test_verify_hlf_cubic_tensor_even_and_odd():
     from mflef.lefschetz import boundary_bulk as bb
 
     assert not bb(A, t, alpha_odd).is_zero()
-    rep = verify_hlf(A, A, t, alpha_odd, beta_odd, case="cubic-odd")
+    rep = verify_hlf(A, A, t, alpha_odd, beta_odd, engine=engine, case="cubic-odd")
     assert rep.equal
 
 
-def test_verify_hlf_nonzero_through_full_pairing():
+@pytest.mark.parametrize("engine", ["groebner", "graded", "both"])
+def test_verify_hlf_nonzero_through_full_pairing(engine):
     # w = x^3 + y^2, t = (zeta_3, 1): odd twists pair nontrivially on H(y^2)
     fx, fy = kfac("x", 1, 3), kfac("y", 1, 2)
     A = tensor_mf(fx, fy)
@@ -149,7 +151,7 @@ def test_verify_hlf_nonzero_through_full_pairing():
     tgt = pullback(t, A)
     u = MFMorphism.diagonal(fx, pullback([RootOfUnity(3, 1)], fx), [Scalar.one(), Scalar.zeta(3, 2)])
     alpha = tensor_morphisms(u, odd_rank11_generator(fy), source=A, target=tgt)
-    rep = verify_hlf(A, A, t, alpha, alpha.inverse(), case="x3y2-odd")
+    rep = verify_hlf(A, A, t, alpha, alpha.inverse(), engine=engine, case="x3y2-odd")
     assert rep.equal and not rep.lhs.is_zero()
     assert rep.lhs == 4 + 2 * Scalar.zeta(3)
 
