@@ -13,7 +13,7 @@ from itertools import accumulate
 
 from .groebner import GradedModulePresentation, Vec, buchberger, free_resolution
 from .lefschetz import LefschetzReport, _now, _report
-from .mfcore import stabilize_module, supertrace_at_origin
+from .mfcore import _annihilates, stabilize_module, supertrace_at_origin
 from .milnor import NonIsolatedError, jacobian_quotient
 from .polyring import Polynomial, monomial_divides, monomials_of_weighted_degree
 from .scalars import Scalar
@@ -158,6 +158,12 @@ class DivisibilityEvenReport:
         )
 
 
+def _check_even_degree(w: Polynomial):
+    degrees = {sum(m) for m in w.terms}
+    if len(degrees) != 1 or degrees.pop() % 2:
+        raise ValueError("potential must be homogeneous of even degree")
+
+
 def verify_even_multiplicity_divisibility(pres: GradedModulePresentation, w: Polynomial,
                                           case="even-multiplicity") -> DivisibilityEvenReport:
     """2-adic bound on e_M(-1) for modules over an even smooth hypersurface.
@@ -168,15 +174,11 @@ def verify_even_multiplicity_divisibility(pres: GradedModulePresentation, w: Pol
     exponent is nonpositive.
     """
     start = _now()
-    degs = {sum(m) for m in w.terms}
-    if len(degs) != 1 or (deg := degs.pop()) % 2:
-        raise ValueError("potential must be homogeneous of even degree")
+    _check_even_degree(w)
     try:
         jacobian_quotient(w)
     except NonIsolatedError:
         raise NonIsolatedError("hypersurface fails the smoothness proxy") from None
-    from .mfcore import _annihilates
-
     if not _annihilates(w, pres):
         raise ValueError("potential does not annihilate the module")
     chi = chi_polynomial(pres)
@@ -200,9 +202,7 @@ def chi_stabilization_consistency(pres: GradedModulePresentation, w: Polynomial,
                                   case="chi-stabilization") -> LefschetzReport:
     """chi_M(-1) against the origin supertrace of the stabilized Z/2 structure."""
     start = _now()
-    degs = {sum(m) for m in w.terms}
-    if len(degs) != 1 or degs.pop() % 2:
-        raise ValueError("potential must be homogeneous of even degree")
+    _check_even_degree(w)
     lhs = Scalar.from_rational(chi_polynomial(pres)(-1))
     mf, alpha = stabilize_module(pres, w)
     if alpha is None:

@@ -14,9 +14,10 @@ phi -> beta o t^*(phi) o alpha:
   (pair_strands), so a later twist of the pair builds only its twist matrices.
 
 They are independent; the corpus runner cross-checks them.  Both read D off
-one rule, the image of each unit cochain e_ij (_d_column).  The graded engine
-states its twist the same way: x^m e_ij maps to t^m x^m times the image of
-e_ij, and one slicer (_slice) reads every scalar matrix of a piece off them.
+one rule, the image of each unit cochain e_ij (mfcore._d_column).  The
+graded engine states its twist the same way: x^m e_ij maps to t^m x^m times
+the image of e_ij, and one slicer (mfcore._slice) reads every scalar matrix
+of a piece off them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
-from .mfcore import MatrixFactorization, MFMorphism, _same_mf
+from .mfcore import GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _same_mf, _slice
 from .polyring import Polynomial, WeightSystem, monomial_mul, monomials_of_weighted_degree, scale_substitute
 from .scalars import Scalar, power_product
 
@@ -75,14 +76,6 @@ class HomComplex:
         for (a, b), entry in zip(self.pairs[parity], column):
             mat[a][b] = entry
         return MFMorphism(self.source, self.target, parity, mat, check_parity=False)
-
-
-def _d_column(da, db, i, j, parity):
-    """D e_ij = d_B e_ij - (-1)^parity e_ij d_A for the unit cochain e_ij of that
-    parity, as ((row, column), entry) pairs.  Its two terms never share an
-    entry: an odd operator has a zero diagonal."""
-    column = [((k, j), row[i]) for k, row in enumerate(db) if not row[i].is_zero()]
-    return column + [((i, l), e if parity else -e) for l, e in enumerate(da[j]) if not e.is_zero()]
 
 
 def hom_complex(source: MatrixFactorization, target: MatrixFactorization) -> HomComplex:
@@ -341,16 +334,6 @@ def _weights_and_shift(a, b):
     return ws.weights, shifts[0]
 
 
-class GradedHomPiece:
-    """Basis of one internal degree of the Hom complex, one parity."""
-
-    __slots__ = ("elements", "index")
-
-    def __init__(self, elements):
-        self.elements = elements  # list of (a, b, mono)
-        self.index = {e: i for i, e in enumerate(elements)}
-
-
 def default_window(w: Polynomial, a: MatrixFactorization, b: MatrixFactorization):
     """[-B, B] with B = socle degree + grading spread + 1 (degree of w).
 
@@ -490,22 +473,6 @@ def _piece(a, b, weights, ga, gb, pa, pb, parity, degree) -> GradedHomPiece:
             for mono in monomials_of_weighted_degree(weights, need):
                 elements.append((ai, bj, mono))
     return GradedHomPiece(elements)
-
-
-def _slice(src: GradedHomPiece, dst: GradedHomPiece, columns, factor=None):
-    """Scalar matrix, from piece src to piece dst, of the operator sending x^m e_ij
-    to factor(m) x^m columns[(i, j)], with factor 1 if None.  columns[(i, j)] is
-    the image of the unit cochain e_ij as ((k, l), polynomial) pairs, each (k, l)
-    at most once, so no two terms of a column meet in one entry."""
-    rows = linalg.zeros(len(dst.elements), len(src.elements))
-    for col, (i, j, mono) in enumerate(src.elements):
-        scale = None if factor is None else factor(mono)
-        for (k, l), entry in columns[(i, j)]:
-            for m, c in entry.terms.items():
-                row = dst.index.get((k, l, monomial_mul(m, mono)))
-                if row is not None:
-                    rows[row][col] = c if scale is None else c * scale
-    return rows
 
 
 class GradedStrand:

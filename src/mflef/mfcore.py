@@ -7,6 +7,10 @@ Morphisms are kept as full matrices with a declared parity; composition is
 then plain matrix multiplication (linalg.mat_mul) and the Koszul sign
 bookkeeping lives only in koszul_mf and in the one tensor kernel, which
 builds both tensor_morphisms and the operator d1 (x) 1 + 1 (x) d2 of tensor_mf.
+The Hom differential D is stated once, as the image of each unit cochain
+(_d_column), and one slicer (_slice) reads scalar matrices of D off graded
+pieces: homcoh's graded engine uses both, and stabilize_module solves its
+homotopy as D on End(F) with them.
 
 Factorizations and morphisms are immutable, like Polynomial: matrices are
 tuples of tuples and attributes cannot be reassigned.  So what is derived
@@ -17,6 +21,7 @@ and kept, and the Hom cohomology of a pair can be reused by identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .groebner import GradedModulePresentation, buchberger, free_resolution, normal_form
@@ -25,6 +30,7 @@ from .polyring import (
     Polynomial,
     difference_quotients,
     extend_ring,
+    monomial_mul,
     monomials_of_weighted_degree,
     scale_substitute,
 )
@@ -515,6 +521,44 @@ def supertrace_at_origin(phi: MFMorphism) -> Scalar:
     return total
 
 
+# -- the Hom differential on graded pieces ------------------------------------
+
+
+def _d_column(da, db, i, j, parity):
+    """D e_ij = d_B e_ij - (-1)^parity e_ij d_A for the unit cochain e_ij of that
+    parity, as ((row, column), entry) pairs.  Its two terms never share an
+    entry: an odd operator has a zero diagonal."""
+    column = [((k, j), row[i]) for k, row in enumerate(db) if not row[i].is_zero()]
+    return column + [((i, l), e if parity else -e) for l, e in enumerate(da[j]) if not e.is_zero()]
+
+
+class GradedHomPiece:
+    """A basis of monomial cochains x^m e_ij: one internal degree and parity of
+    a Hom complex, or one homological rise of End(F) (stabilize_module)."""
+
+    __slots__ = ("elements", "index")
+
+    def __init__(self, elements):
+        self.elements = elements  # list of (i, j, mono)
+        self.index = {e: i for i, e in enumerate(elements)}
+
+
+def _slice(src: GradedHomPiece, dst: GradedHomPiece, columns, factor=None):
+    """Scalar matrix, from piece src to piece dst, of the operator sending x^m e_ij
+    to factor(m) x^m columns[(i, j)], with factor 1 if None.  columns[(i, j)] is
+    the image of the unit cochain e_ij as ((k, l), polynomial) pairs, each (k, l)
+    at most once, so no two terms of a column meet in one entry."""
+    rows = linalg.zeros(len(dst.elements), len(src.elements))
+    for col, (i, j, mono) in enumerate(src.elements):
+        scale = None if factor is None else factor(mono)
+        for (k, l), entry in columns[(i, j)]:
+            for m, c in entry.terms.items():
+                row = dst.index.get((k, l, monomial_mul(m, mono)))
+                if row is not None:
+                    rows[row][col] = c if scale is None else c * scale
+    return rows
+
+
 # -- stabilization of graded modules ------------------------------------------
 
 
@@ -537,7 +581,9 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
     Takes the minimal graded resolution (F, d) of the module, then solves
     (d + s)^2 = w id: first a homotopy with d s + s d = w id, then higher
     corrections raising the homological degree until the square is exact.
-    Each solve is graded scalar linear algebra with deterministic pivoting.
+    The left side d s + s d is D(s), the odd differential of End(F, d), so
+    each solve reads one scalar system off graded pieces of End(F) with
+    _d_column and _slice; elimination pivots deterministically.
 
     Returns (mf, alpha): alpha is the transferred Z/2-equivariant structure
     diag((-1)^(internal degree)) when deg w is even (else None).  Solving in
@@ -549,54 +595,55 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
     if not _annihilates(w, pres):
         raise ValueError("the potential does not annihilate the module")
     res = free_resolution(pres)
-    ring = pres.ring
-    steps = len(res.degrees)
-    ranks = [len(d) for d in res.degrees]
-    offsets = [0]
-    for r in ranks:
-        offsets.append(offsets[-1] + r)
-    total = offsets[-1]
-    step = [k for k in range(steps) for _ in range(ranks[k])]  # homological degree of a slot
-    degrees = [d for row in res.degrees for d in row]  # internal degree of a slot
+    ring, zero, ones = pres.ring, pres.ring.zero(), (1,) * pres.ring.nvars
+    step = [k for k, row in enumerate(res.degrees) for _ in row]  # homological degree of a slot
+    degrees = [g for row in res.degrees for g in row]  # internal degree of a slot
+    total, offsets = len(step), list(accumulate(map(len, res.degrees), initial=0))
     w_deg = w.total_degree()
+    d = linalg.zeros(total, total, zero)
+    for k, mat in enumerate(res.matrices):  # d_{k+1}: F_{k+1} -> F_k
+        _place(d, mat, offsets[k], offsets[k + 1])
+    # s is odd, so D(s) = d s + s d
+    columns = {(i, j): _d_column(d, d, i, j, 1) for i in range(total) for j in range(total)}
 
-    blocks = {(k, k + 1): mat for k, mat in enumerate(res.matrices)}  # d_{k+1}: F_{k+1} -> F_k
+    def piece(rise, op_degree):
+        """The entries x^m e_ij of End(F) that raise the step by `rise`, of degree op_degree."""
+        return GradedHomPiece([(i, j, m) for i in range(total) for j in range(total)
+                               if step[i] - step[j] == rise
+                               for m in monomials_of_weighted_degree(
+                                   ones, degrees[j] + op_degree - degrees[i])])
 
-    def total_matrix():
-        out = linalg.zeros(total, total, ring.zero())
-        for (ti, si), mat in blocks.items():
-            _place(out, mat, offsets[ti], offsets[si])
-        return out
-
-    def residual_of(op):
-        sq = linalg.mat_mul(op, op, ring.zero(), cols=total)
-        for i in range(total):
-            sq[i][i] = sq[i][i] - w
-        return [[-e for e in row] for row in sq]  # w id - op^2
-
-    operator = total_matrix()
+    operator = [row[:] for row in d]
     guard = 0
     while True:
-        residual = residual_of(operator)
+        square = linalg.mat_mul(operator, operator, zero, cols=total)
+        residual = [[(w if i == j else zero) - e for j, e in enumerate(row)]
+                    for i, row in enumerate(square)]  # w id - operator^2
         shifts = {step[i] - step[j] for i, row in enumerate(residual)
                   for j, e in enumerate(row) if not e.is_zero()}
         if not shifts:
             break
         guard += 1
-        if guard > steps + 2:
+        if guard > len(res.degrees) + 2:
             raise AssertionError("homotopy iteration failed to terminate")
         shift = min(shifts)
         if shift < 0 or shift % 2:
             raise AssertionError("residual has an inconsistent homological shift")
-        correction = _solve_homotopy(res, ring, ranks, offsets, residual, shift, w_deg)
-        for key, mat in correction.items():
-            if key in blocks:
-                old = blocks[key]
-                blocks[key] = [[old[i][j] + mat[i][j] for j in range(len(mat[0]))]
-                               for i in range(len(mat))]
-            else:
-                blocks[key] = mat
-        operator = total_matrix()
+        # solve D(s) = residual at this shift for s one step higher
+        op_degree = w_deg * (shift + 2) // 2
+        unknowns, targets = piece(shift + 1, op_degree), piece(shift, op_degree)
+        if not unknowns.elements:
+            raise AssertionError("homotopy solve has no unknowns but nonzero residual")
+        terms = {(i, j, m): c for i, row in enumerate(residual) for j, e in enumerate(row)
+                 if step[i] - step[j] == shift for m, c in e.terms.items()}
+        rhs = [terms.pop(key, Scalar.zero()) for key in targets.elements]
+        # a term left over lies outside the equations' piece: no s reaches it
+        solution = None if terms else linalg.solve(_slice(unknowns, targets, columns), rhs)
+        if solution is None:
+            raise AssertionError("graded homotopy solve is singular")
+        for (i, j, m), c in zip(unknowns.elements, solution):
+            if not c.is_zero():
+                operator[i][j] = operator[i][j] + ring.monomial(m, c)
 
     # d0 and d1 are the blocks of the operator between even and odd steps
     evens = [i for i in range(total) if step[i] % 2 == 0]
@@ -615,90 +662,3 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
         if not alpha.is_closed():
             raise AssertionError("canonical Z/2 structure failed to close")
     return mf, alpha
-
-
-def _solve_homotopy(res, ring, ranks, offsets, residual, shift, w_deg):
-    """Solve d s + s d = residual-at-shift for s raising homological degree by
-    shift + 1; unknowns are graded entries of operator degree ((shift+2)/2) deg w."""
-    steps = len(ranks)
-    degrees = res.degrees
-    op_degree = w_deg * ((shift + 2) // 2)
-
-    def entry_monos(source_step, j, target_step, i):
-        return monomials_of_weighted_degree(
-            (1,) * ring.nvars, degrees[source_step][j] + op_degree - degrees[target_step][i]
-        )
-
-    unknown_slots = []
-    for k in range(steps):
-        kt = k + shift + 1
-        if kt >= steps:
-            continue
-        for i in range(ranks[kt]):
-            for j in range(ranks[k]):
-                for m in entry_monos(k, j, kt, i):
-                    unknown_slots.append((k, i, j, m))
-    index = {slot: pos for pos, slot in enumerate(unknown_slots)}
-    d_mats = res.matrices
-
-    rows, rhs = [], []
-    for k in range(steps):
-        kt = k + shift
-        if kt >= steps:
-            continue
-        for i in range(ranks[kt]):
-            for j in range(ranks[k]):
-                target = residual[offsets[kt] + i][offsets[k] + j]
-                coeffs: dict = {}
-
-                def add(mono, pos, c):
-                    bucket = coeffs.setdefault(mono, {})
-                    bucket[pos] = bucket.get(pos, Scalar.zero()) + c
-
-                # d_{kt+1} s_k
-                if kt + 1 < steps:
-                    dmat = d_mats[kt]
-                    for b in range(ranks[kt + 1]):
-                        entry = dmat[i][b]
-                        if entry.is_zero():
-                            continue
-                        for m, c in entry.terms.items():
-                            for sm in entry_monos(k, j, kt + 1, b):
-                                slot = (k, b, j, sm)
-                                if slot in index:
-                                    add(tuple(x + y for x, y in zip(m, sm)), index[slot], c)
-                # s_{k-1} d_k
-                if k >= 1:
-                    dmat = d_mats[k - 1]
-                    for b in range(ranks[k - 1]):
-                        entry = dmat[b][j]
-                        if entry.is_zero():
-                            continue
-                        for m, c in entry.terms.items():
-                            for sm in entry_monos(k - 1, b, kt, i):
-                                slot = (k - 1, i, b, sm)
-                                if slot in index:
-                                    add(tuple(x + y for x, y in zip(m, sm)), index[slot], c)
-                monos = set(coeffs) | set(target.terms)
-                for mono in sorted(monos):
-                    row = [Scalar.zero()] * len(unknown_slots)
-                    for pos, c in coeffs.get(mono, {}).items():
-                        row[pos] = c
-                    rows.append(row)
-                    rhs.append(target.terms.get(mono, Scalar.zero()))
-    if not unknown_slots:
-        raise AssertionError("homotopy solve has no unknowns but nonzero residual")
-    solution = linalg.solve(rows, rhs)
-    if solution is None:
-        raise AssertionError("graded homotopy solve is singular")
-    out: dict = {}
-    for slot, pos in index.items():
-        k, i, j, m = slot
-        c = solution[pos]
-        if c.is_zero():
-            continue
-        key = (k + shift + 1, k)
-        if key not in out:
-            out[key] = linalg.zeros(ranks[k + shift + 1], ranks[k], ring.zero())
-        out[key][i][j] = out[key][i][j] + ring.monomial(m, c)
-    return out

@@ -12,6 +12,7 @@ with constant 1 (checked on the corpus and then frozen).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .groebner import buchberger, normal_form, standard_monomials
@@ -30,6 +31,9 @@ class NonIsolatedError(ValueError):
     """The Jacobian ideal has infinite colength."""
 
 
+# the largest Milnor number bound jacobian_quotient enumerates
+_MU_LIMIT = 10_000
+
 # the frozen normalization, quoted in report provenance strings
 PAIRING_CONVENTION = "res(hess)=mu;sign=(-1)^(m(m+1)/2)"
 
@@ -41,6 +45,12 @@ def jacobian_quotient(w: Polynomial):
     if any(j.is_zero() for j in jacobian):
         raise NonIsolatedError(f"{w} has vanishing partials; singularity is not isolated")
     gb = buchberger(jacobian, rank=1)
+    # the standard monomials lie below the least pure power of each variable
+    leads = [m for m, _ in gb.leads.get(0, ())]
+    powers = [min((m[v] for m in leads if m[v] and m[v] == sum(m)), default=None)
+              for v in range(w.ring.nvars)]
+    if None not in powers and (bound := math.prod(powers)) > _MU_LIMIT:
+        raise ValueError(f"Milnor number bound {bound} exceeds the limit {_MU_LIMIT}")
     std = standard_monomials(gb, nvars=w.ring.nvars)
     if std is None:
         raise NonIsolatedError(f"{w} does not define an isolated singularity")

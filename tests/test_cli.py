@@ -654,3 +654,39 @@ def test_divisibility_refuses_a_composite_p_before_the_power_check(p, monkeypatc
     argv = ["divisibility", "K", "minus", "sign", p, "-i", str(FIXTURES / "passing.mflef")]
     assert _run(argv) == 2
     assert capsys.readouterr().err.splitlines() == ["error: p must be prime"]
+
+
+MILNOR_BOUND = """
+[potential]
+w = x^32 + y^32 + z^32 + u^32
+
+[potential]
+v = x^11 + y^11 + z^11 + u^11
+
+[module]
+name = M
+vars = x, y, z, u
+degrees = 0
+relations = { x ; y ; z ; u }
+"""
+
+
+def test_milnor_number_is_bounded_before_enumeration(tmp_path, monkeypatch, capsys):
+    # the pure-power leads x^31, ..., u^31 of the Jacobian ideal bound mu by
+    # 31^4; past the limit the standard monomials must not be enumerated
+    from mflef import milnor
+
+    def unbounded(*args, **kwargs):
+        raise AssertionError("standard monomials enumerated")
+
+    doc = tmp_path / "milnor.mflef"
+    doc.write_text(MILNOR_BOUND)
+    monkeypatch.setattr(milnor, "standard_monomials", unbounded)
+    for argv in (["milnor", "w"], ["hilbert", "M", "w"]):
+        assert _run(argv + ["-i", str(doc)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Milnor number bound 923521 exceeds the limit 10000"]
+    monkeypatch.undo()
+    # 10^4 is at the limit and still enumerated
+    assert _run(["milnor", "v", "-i", str(doc)]) == 0
+    assert capsys.readouterr().out.startswith("milnor v: mu = 10000  basis = [1, u, z, ")

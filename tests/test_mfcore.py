@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -246,6 +247,31 @@ def test_stabilize_residue_field_quadric():
     assert supertrace_at_origin(alpha) == 4
 
 
+def _stabilization_digest(mf):
+    """Leading hex digits of the sha256 of the printed blocks and gradings."""
+    return hashlib.sha256(repr((mf.d0, mf.d1, mf.gradings)).encode()).hexdigest()[:16]
+
+
+R3 = PolyRing(("x", "y", "z"))
+X2, Y2 = R2.var("x"), R2.var("y")
+K3 = [R3.var(v) for v in R3.vars]
+
+
+@pytest.mark.parametrize("relations, w, digest", [
+    ([x], x**2, "cd7c1de33f0a5fb9"),
+    ([X2, Y2], X2**2 + Y2**2, "916d71e822f2baac"),
+    ([X2, Y2**2], X2**2 + Y2**2, "2eb0cb57d6e835dd"),
+    ([X2**2 + Y2**2], X2**2 + Y2**2, "4764788bfce04b3d"),
+    (K3, sum((v**2 for v in K3), R3.zero()), "6cdbc9cde87a81e8"),
+    (K3, sum((v**4 for v in K3), R3.zero()), "82f02ffd89f30255"),
+], ids=["Mx-a2", "Mk2-q2", "Mxy2-q2", "Mw2-q2", "Mk3-q3", "Mk3-k3"])
+def test_stabilize_pins_the_homotopy(relations, w, digest):
+    # ranks, d^2 = w and the origin supertrace hold for any valid homotopy;
+    # the digest pins the one the solver returns
+    mf, _ = stabilize_module(GradedModulePresentation.cyclic(w.ring, relations), w)
+    assert _stabilization_digest(mf) == digest
+
+
 def test_stabilize_residue_field_quartic_four_variables():
     # the resolution of k is linear: each generator of homological degree i
     # sits at internal degree i and adds (-1)^i (-1)^i = +1, so 2^4 in all
@@ -254,6 +280,7 @@ def test_stabilize_residue_field_quartic_four_variables():
     w = gens[0] ** 4 + gens[1] ** 4 + gens[2] ** 4 + gens[3] ** 4
     mf, alpha = stabilize_module(GradedModulePresentation(R4, [0], [gens]), w)
     assert (mf.r0, mf.r1) == (8, 8)
+    assert _stabilization_digest(mf) == "dd9a71485f3ab2c0"
     validate_mf(mf)
     assert alpha.is_closed()
     assert equivariance_power_check([RootOfUnity(2, 1)] * 4, alpha, 2)
@@ -356,6 +383,18 @@ def test_stabilize_rejects_non_annihilated():
         stabilize_module(pres, x2**2 + y2**2)
 
 
+def test_stabilize_refuses_a_residual_outside_the_graded_piece(monkeypatch):
+    # with d = x + x^2 declared of degree 1 the first correction x leaves the
+    # residual -x^3 (e_00 + e_11), whose degree no graded unknown reaches
+    from mflef import mfcore
+    from mflef.groebner import FreeResolution
+
+    fake = FreeResolution(R1, [[0], [1]], [[[x + x**2]]])
+    monkeypatch.setattr(mfcore, "free_resolution", lambda pres: fake)
+    with pytest.raises(AssertionError, match="graded homotopy solve is singular"):
+        stabilize_module(GradedModulePresentation.cyclic(R1, [x]), x**2)
+
+
 def test_shift_swaps_parities():
     mf = rank11(x, x**2)
     sh = mf.shift()
@@ -374,7 +413,9 @@ def test_stabilize_random_monomial_quotients():
     rng = random.Random(101)
     R2 = PolyRing(("x", "y"))
     w = R2.var("x") ** 4 + R2.var("y") ** 4
-    for _ in range(6):
+    digests = ["8e2c25a23e40fbe1", "4891ceda882a26de", "8e2c25a23e40fbe1",
+               "4891ceda882a26de", "8e2c25a23e40fbe1", "557fc105fcf83a42"]
+    for digest in digests:
         gens = [R2.monomial((2, 0)), R2.monomial((0, 2))]
         for _ in range(rng.randint(0, 2)):
             a, b = rng.randint(0, 3), rng.randint(0, 3)
@@ -382,6 +423,7 @@ def test_stabilize_random_monomial_quotients():
                 gens.append(R2.monomial((a, b)))
         pres = GradedModulePresentation.cyclic(R2, gens)
         mf, alpha = stabilize_module(pres, w)
+        assert _stabilization_digest(mf) == digest
         validate_mf(mf)
         assert alpha is not None and alpha.is_closed()
         assert equivariance_power_check([RootOfUnity(2, 1)] * 2, alpha, 2)
