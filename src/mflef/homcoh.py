@@ -28,7 +28,7 @@ from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
 from .mfcore import GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _same_mf, _slice
-from .polyring import Polynomial, WeightSystem, monomial_mul, monomials_of_weighted_degree, scale_substitute
+from .polyring import WeightSystem, monomial_mul, monomials_of_weighted_degree, scale_substitute
 from .scalars import Scalar, power_product
 
 
@@ -334,28 +334,35 @@ def _weights_and_shift(a, b):
     return ws.weights, shifts[0]
 
 
-def default_window(w: Polynomial, a: MatrixFactorization, b: MatrixFactorization):
-    """[-B, B] with B = socle degree + grading spread + 1 (degree of w).
-
-    The window holds all of H(Hom(A, B)).  Every cochain (a, b, m) has
-    internal degree wdeg(m) + g_B(a) - g_A(b) >= -spread, because monomials
-    have nonnegative weight.  Graded Serre duality pairs H(Hom(A, B))_d
-    nondegenerately with H(Hom(B, A))_d' only for d + d' = sum(1/2 - q_i),
-    half the socle degree sum(1 - 2 q_i); as d' >= -spread too, cohomology
-    sits at d <= socle / 2 + spread < B.
-    """
-    ws = WeightSystem.of(w)
+def _socle_and_spread(a, b):
+    """Socle degree sum(1 - 2 q_i) of the potential, and the range of the
+    internal gradings of A and B."""
+    ws = WeightSystem.of(a.potential)
     if ws is None:
         raise ValueError("potential is not quasi-homogeneous")
-    socle = sum((1 - 2 * q) for q in ws.weights)
     gradings = list(a.grading_list() or []) + list(b.grading_list() or [])
     spread = (max(gradings) - min(gradings)) if gradings else Fraction(0)
-    return socle + spread + 1
+    return sum((1 - 2 * q) for q in ws.weights), spread
 
 
-def _window_degrees(a, b, weights):
-    """The internal degrees in the default window that carry a cochain."""
-    bound = default_window(a.potential, a, b)
+def default_window(a: MatrixFactorization, b: MatrixFactorization):
+    """Top degree socle / 2 + spread of H(Hom(A, B)).
+
+    Every cochain (a, b, m) has internal degree wdeg(m) + g_B(a) - g_A(b) >=
+    -spread, because monomials have nonnegative weight, so the window
+    [-spread, socle / 2 + spread] needs no lower cut.  Graded Serre duality
+    pairs H(Hom(A, B))_d nondegenerately with H(Hom(B, A))_d' only for d + d'
+    = sum(1/2 - q_i), half the socle degree sum(1 - 2 q_i); as d' >= -spread
+    too, cohomology sits at d <= socle / 2 + spread.  Above it every strand
+    is acyclic.  The oracle graded_cohomology_dimensions runs to the wider
+    socle + spread + 1, which checks this bound.
+    """
+    socle, spread = _socle_and_spread(a, b)
+    return socle / 2 + spread
+
+
+def _window_degrees(a, b, weights, bound):
+    """The internal degrees up to bound that carry a cochain."""
     offsets = {g - h for g in b.grading_list() for h in a.grading_list()}
     if not offsets:
         return []
@@ -364,11 +371,12 @@ def _window_degrees(a, b, weights):
     reachable = {Fraction(0)}
     for q in weights:
         reachable = {v + q * e for v in reachable for e in range(int((top - v) / q) + 1)}
-    return sorted({v + o for v in reachable for o in offsets if -bound <= v + o <= bound})
+    return sorted({v + o for v in reachable for o in offsets if v + o <= bound})
 
 
-def _strands(a, b, weights, s_deg):
-    """Each nonempty piece C^P_d of the window with the matrices of its strand.
+def _strands(a, b, weights, s_deg, bound=None):
+    """Each nonempty piece C^P_d with d <= bound, default_window(a, b) unless
+    given, with the matrices of its strand.
 
     Yields (P, piece, m_out, m_in) for the three-term strand
     C^{1-P}_{d-s} -> C^P_d -> C^{1-P}_{d+s}, by increasing degree d.  Each
@@ -389,7 +397,9 @@ def _strands(a, b, weights, s_deg):
             pieces[key] = _piece(a, b, weights, ga, gb, pa, pb, parity, degree)
         return pieces[key]
 
-    for d in _window_degrees(a, b, weights):
+    if bound is None:
+        bound = default_window(a, b)
+    for d in _window_degrees(a, b, weights, bound):
         for parity in (0, 1):
             middle = piece(parity, d)
             if not middle.elements:
@@ -407,7 +417,8 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
     For each internal degree d the three-term strand C^{1-P}_{d-s} -> C^P_d ->
     C^{1-P}_{d+s} is a finite scalar complex preserved by the twisted
     endomorphism; the trace on its middle cohomology is computed directly and
-    summed over the default window (outside of which cohomology vanishes).
+    summed over the degrees d <= default_window (above which cohomology
+    vanishes).
     The strands depend on (a, b) alone and are reduced once per pair (see
     pair_strands); a call builds only its twist matrices.
     """
@@ -455,10 +466,12 @@ def pair_strands(a, b, weights, shift):
 
 
 def graded_cohomology_dimensions(a, b):
-    """Brute-force degree-truncated oracle for the cohomology dimensions."""
+    """Brute-force degree-truncated oracle for the cohomology dimensions, over
+    degrees up to socle + spread + 1, wider than the graded engine's window."""
     weights, shift = _weights_and_shift(a, b)
+    socle, spread = _socle_and_spread(a, b)
     dims = [0, 0]
-    for parity, piece, m_out, m_in in _strands(a, b, weights, shift):
+    for parity, piece, m_out, m_in in _strands(a, b, weights, shift, socle + spread + 1):
         dims[parity] += len(piece.elements) - linalg.rank(m_out) - linalg.rank(m_in)
     return tuple(dims)
 
@@ -488,7 +501,9 @@ class GradedStrand:
     in the kernel and vanishes on every free column, and the reduced rows of
     m_out then force its pivot entries to 0 too.  Kernel coordinates are thus
     read off the free columns, with no solve.  Building a strand checks that
-    the image lies in the kernel.
+    the image lies in the kernel.  An acyclic strand, whose image has a
+    pivot on every free column, keeps its pivots but no image rows: they
+    would be the identity.
     """
 
     __slots__ = ("parity", "piece", "kernel", "free", "image", "pivots")
@@ -505,6 +520,8 @@ class GradedStrand:
             raise AssertionError("image does not lie in the kernel")
         self.image, self.pivots = linalg.echelon_form(
             [[m_in[f][j] for f in self.free] for j in range(len(m_in[0]))])
+        if len(self.pivots) == len(self.free):  # ker = im
+            self.image = []
 
 
 def _subquotient_trace(strand: GradedStrand, t_mat):
@@ -516,13 +533,16 @@ def _subquotient_trace(strand: GradedStrand, t_mat):
     in kernel coordinates.  The image is spanned by the reduced rows S_i with
     pivot columns Q_i; an image vector x equals the sum of x[Q_i] S_i, so the
     trace on the image is the sum of (Z S_i)[Q_i].  Both preservation checks
-    depend on the twist, so they run on every call.
+    depend on the twist, so they run on every call.  On an acyclic strand, a
+    twist that preserves ker = im preserves the image too, and the trace is 0.
     """
     free = strand.free
     tk = linalg.mat_mul(t_mat, strand.kernel, cols=len(free))  # column j = T v_j
     z = [tk[f] for f in free]
     if linalg.mat_mul(strand.kernel, z, cols=len(free)) != tk:
         raise AssertionError("twist does not preserve the kernel")
+    if len(strand.pivots) == len(free):
+        return Scalar.zero()
     trace = sum((z[i][i] for i in range(len(free))), Scalar.zero())
     s_rows = strand.image
     if not s_rows:

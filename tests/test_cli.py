@@ -415,6 +415,25 @@ def test_graded_corpus_reduces_each_strand_once(monkeypatch, capsys):
     assert len(calls) <= 11
 
 
+def test_graded_corpus_reduces_only_the_window_below_the_duality_bound(monkeypatch, capsys):
+    # the graded window of a2.mflef's pair (A, A) stops at socle / 2 + spread
+    # = 1/6 + 1/6 = 1/3, above which every strand is acyclic: it holds 4
+    # strands, where the window up to socle + spread + 1 = 3/2 held 11
+    from mflef import linalg
+
+    calls = []
+    original = linalg.nullspace
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    assert _run(["corpus", "-i", str(FIXTURES / "a2.mflef"), "--engine", "graded"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "a2.out").read_text()
+    assert len(calls) <= 4
+
+
 def test_unwritable_json_path_is_input_error(tmp_path):
     # the report is printed; the failed --json write is one error line and
     # exit 2, never a traceback with exit 1 (an identity violation)

@@ -3,11 +3,13 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mflef.homcoh
 from mflef import linalg
+from mflef.document import parse_document
 from mflef.scalars import RootOfUnity, Scalar
 from mflef.polyring import PolyRing, WeightSystem, partial_derivative
 from mflef.mfcore import (
@@ -409,6 +411,16 @@ def test_subquotient_trace_checks_its_invariants(m_in, twist, message):
                                         _q(twist))
 
 
+def test_acyclic_strand_keeps_no_image_and_still_checks_its_kernel():
+    # m_in spans the whole kernel span(e0, e1): ker = im, so the strand keeps
+    # no image rows and its trace is 0, yet each twist is checked on the kernel
+    strand = mflef.homcoh.GradedStrand(0, None, M_OUT, _q([[1, 1], [0, 1], [0, 0]]))
+    assert len(strand.pivots) == len(strand.free) == 2 and strand.image == []
+    assert mflef.homcoh._subquotient_trace(strand, _q([[2, 7, 11], [0, 3, 13], [0, 0, 5]])) == 0
+    with pytest.raises(AssertionError, match="twist does not preserve the kernel"):
+        mflef.homcoh._subquotient_trace(strand, _q([[2, 0, 0], [0, 3, 0], [0, 1, 5]]))
+
+
 # -- theorem oracle: the Jacobian ideal acts by zero on H(Hom(A, B)) -----------
 
 
@@ -468,12 +480,25 @@ def test_jacobian_ideal_annihilates_a_reused_basis():
 # -- theorem oracle: graded Serre duality --------------------------------------
 
 
-def _graded_dims(a, b):
-    """{(P, d): dim H^P_d(Hom(A, B))} over the nonzero pieces of the graded engine."""
+def _socle_and_spread(a, b):
+    socle = sum(1 - 2 * q for q in WeightSystem.of(a.potential).weights)
+    gradings = a.grading_list() + b.grading_list()
+    return socle, max(gradings) - min(gradings)
+
+
+def _wide_bound(a, b):
+    """socle + spread + 1, the window of the brute-force oracle."""
+    socle, spread = _socle_and_spread(a, b)
+    return socle + spread + 1
+
+
+def _graded_dims(a, b, bound=None):
+    """{(P, d): dim H^P_d(Hom(A, B))} over the nonzero pieces of the graded
+    engine up to degree bound, the engine's own window if None."""
     weights, shift = mflef.homcoh._weights_and_shift(a, b)
     ga, gb = a.grading_list(), b.grading_list()
     dims = {}
-    for parity, piece, m_out, m_in in mflef.homcoh._strands(a, b, weights, shift):
+    for parity, piece, m_out, m_in in mflef.homcoh._strands(a, b, weights, shift, bound):
         dim = len(piece.elements) - linalg.rank(m_out) - linalg.rank(m_in)
         if dim:
             ai, bj, mono = piece.elements[0]
@@ -496,12 +521,41 @@ def test_graded_serre_duality(family):
     weights = WeightSystem.of(w).weights
     c_hat = sum(1 - 2 * q for q in weights)
     n = w.ring.nvars
-    dims = {(i, j): _graded_dims(a, b)
+    dims = {(i, j): _graded_dims(a, b, _wide_bound(a, b))
             for i, a in enumerate(family) for j, b in enumerate(family)}
     for (i, j), forward in dims.items():
         assert forward
         dual = {((p + n) % 2, c_hat / 2 - d): dim for (p, d), dim in forward.items()}
         assert dual == dims[(j, i)]
+
+
+def _tier1_graded_pairs():
+    """The a2 fixture's pair (A, A), and every pair within the rank-(1,1)
+    families of x^d, d = 2..5, and the graded Koszul families of x^3 + y^3 and
+    x^4 + y^2."""
+    doc = parse_document((Path(__file__).parent / "fixtures" / "a2.mflef").read_text())
+    a2 = doc.factorizations["A"][1]
+    families = [[graded_rank11(c, d) for c in range(1, d)] for d in (2, 3, 4, 5)]
+    families += [_koszul_family((3, 3), graded=True), _koszul_family((4, 2), graded=True)]
+    return [(a2, a2)] + [(a, b) for family in families for a in family for b in family]
+
+
+def test_graded_window_stops_at_the_serre_duality_bound():
+    # over the oracle's window socle + spread + 1, all cohomology sits at or
+    # below socle / 2 + spread, the top of the engine's window, and some sits
+    # on it; the engine's window then sees every degree the oracle sees
+    on_bound = 0
+    for a, b in _tier1_graded_pairs():
+        socle, spread = _socle_and_spread(a, b)
+        top = socle / 2 + spread
+        wide = _graded_dims(a, b, _wide_bound(a, b))
+        assert wide and all(d <= top for _, d in wide), (top, wide)
+        on_bound += any(d == top for _, d in wide)
+        assert _graded_dims(a, b) == wide
+        ident = [RootOfUnity(1, 0)] * a.potential.ring.nvars
+        chi = graded_euler_supertrace(a, b, ident, MFMorphism.identity(a), MFMorphism.identity(b))
+        assert chi == sum(n if p == 0 else -n for (p, _), n in wide.items())
+    assert on_bound
 
 
 # -- graded engine: strands reduced once per (A, B) pair -------------------------
@@ -581,6 +635,19 @@ def test_twist_checks_run_on_a_reused_entry():
              for r in range(n)]
     with pytest.raises(AssertionError, match="twist does not preserve the image"):
         mflef.homcoh._subquotient_trace(strand, t_mat)
+
+
+def test_twist_checks_run_on_a_reused_acyclic_entry():
+    # B = (1, x^4) is contractible, so every strand of Hom(A, B) is acyclic
+    a, b = graded_rank11(1, 4), graded_rank11(0, 4)
+    twists = _natural_twists(a, 1, b, 0, 4)
+    assert lhs_hlf(a, b, *twists[0], engine="graded").is_zero()
+    kept = a._hom_memo[id(b)][2]
+    assert kept and all(len(s.pivots) == len(s.free) and not s.image for s in kept)
+    (_, alpha1, _), (t2, _, beta2) = twists[:2]
+    with pytest.raises(AssertionError, match="twist does not preserve the kernel"):
+        lhs_hlf(a, b, t2, alpha1, beta2, engine="graded")
+    assert a._hom_memo[id(b)][2] is kept
 
 
 def test_degree_shifting_twist_builds_no_strands(monkeypatch):
