@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .document import DocumentError, parse_document
@@ -91,13 +90,19 @@ def _mf(doc, name):
     return _need(doc, "factorizations", name)[1]
 
 
-def _morphism_as(doc, name, expected_twisted):
+def _morphism_as(doc, name, expected_twisted, sname):
+    """The morphism `name`, refused unless twisted on that side by the roots of `sname`."""
     entry = _need(doc, "morphisms", name)
     if entry["twisted"] != expected_twisted:
         raise InputError(
             f"morphism {name!r} must be twisted on the {expected_twisted} "
             f"(declared: {entry['twisted']})"
         )
+    roots, twist = _symmetry_roots(doc, sname), entry["twist"]
+    # roots are compared, not names; an untwisted morphism is twisted by the identity
+    if not (_symmetry_roots(doc, twist) == roots if twist else all(r.is_one() for r in roots)):
+        raise InputError(f"morphism {name!r} is twisted by {twist or 'the identity'}, "
+                         f"not by the symmetry {sname!r}")
     return entry["morphism"]
 
 
@@ -121,7 +126,7 @@ def run_command(command, args, doc, engine="groebner"):
         start = _now()
         algebra = MilnorAlgebra(w)
         micros = _now() - start
-        basis = ", ".join(_mono_str(w.ring, m) for m in algebra.basis)
+        basis = ", ".join(w.ring.monomial_text(m) or "1" for m in algebra.basis)
         lines = [f"milnor {wname}: mu = {algebra.milnor_number}  basis = [{basis}]"]
         return lines, [_row(command, wname, algebra.milnor_number, "groebner", micros)], True
 
@@ -129,7 +134,7 @@ def run_command(command, args, doc, engine="groebner"):
         aname, sname, mname = _args(args, 3)
         mf = _mf(doc, aname)
         roots = _symmetry_roots(doc, sname)
-        alpha = _morphism_as(doc, mname, "target")
+        alpha = _morphism_as(doc, mname, "target", sname)
         start = _now()
         tau = boundary_bulk(mf, roots, alpha)
         micros = _now() - start
@@ -143,7 +148,7 @@ def run_command(command, args, doc, engine="groebner"):
         start = _now()
         value = rhs_hlf(
             _mf(doc, aname), _mf(doc, bname), _symmetry_roots(doc, sname),
-            _morphism_as(doc, m1, "target"), _morphism_as(doc, m2, "source"),
+            _morphism_as(doc, m1, "target", sname), _morphism_as(doc, m2, "source", sname),
         )
         micros = _now() - start
         lines = [f"pair {aname} {bname} {sname}: value = {value}"]
@@ -154,8 +159,8 @@ def run_command(command, args, doc, engine="groebner"):
         aname, bname, sname, m1, m2 = _args(args, 5)
         a, b = _mf(doc, aname), _mf(doc, bname)
         roots = _symmetry_roots(doc, sname)
-        alpha = _morphism_as(doc, m1, "target")
-        beta = _morphism_as(doc, m2, "source")
+        alpha = _morphism_as(doc, m1, "target", sname)
+        beta = _morphism_as(doc, m2, "source", sname)
         fn = {"hlf-verify": verify_hlf, "isolated-verify": verify_isolated,
               "zero-check": zero_fixed_locus_check}[command]
         rep = fn(a, b, roots, alpha, beta, engine=engine,
@@ -173,7 +178,7 @@ def run_command(command, args, doc, engine="groebner"):
         aname, sname, mname = _args(args, 3)
         rep = trace_identity_check(
             _mf(doc, aname), _symmetry_roots(doc, sname),
-            _morphism_as(doc, mname, "target"), engine=engine,
+            _morphism_as(doc, mname, "target", sname), engine=engine,
             case=f"{aname}/{sname}",
         )
         return _lefschetz_output(command, rep)
@@ -186,12 +191,11 @@ def run_command(command, args, doc, engine="groebner"):
             raise InputError(f"divisibility needs an integer prime, got {p_text!r}")
         rep = divisibility_check(
             _mf(doc, aname), _symmetry_roots(doc, sname),
-            _morphism_as(doc, mname, "target"), p, case=f"{aname}/{sname}/p={p}",
+            _morphism_as(doc, mname, "target", sname), p, case=f"{aname}/{sname}/p={p}",
         )
         verdict = "pass" if rep.passed else "FAIL"
-        val = rep.valuation if rep.valuation != math.inf else "inf"
         lines = [
-            f"divisibility {rep.case}: str = {rep.value}  valuation = {val}  "
+            f"divisibility {rep.case}: str = {rep.value}  valuation = {rep.valuation}  "
             f"bound = {rep.bound}  m_max = {rep.m_max}  [{verdict}]"
         ]
         report = _row(command, rep.case, rep.value, "cyclotomic-valuation", rep.micros,
@@ -279,14 +283,6 @@ def _args(args, count):
     if len(args) != count:
         raise InputError(f"expected {count} arguments, got {len(args)}")
     return args
-
-
-def _mono_str(ring, mono):
-    if not any(mono):
-        return "1"
-    return "*".join(
-        f"{v}^{e}" if e > 1 else v for v, e in zip(ring.vars, mono) if e
-    )
 
 
 def _row(command, case, lhs, engine, micros, rhs=None, equal=True):

@@ -4,6 +4,7 @@ chi_M(t) is read off the minimal graded free resolution; the multiplicity
 polynomial e_M and the Krull dimension come from its vanishing order at
 t = 1, so chi_M(t) = e_M(t) (1 - t)^(n - d(M)) holds by construction and is
 cross-checked in tests against a degreewise Hilbert-function count.
+UniPoly prints through the one term rule, scalars.format_sum.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .lefschetz import LefschetzReport, _now, _report
 from .mfcore import _annihilates, stabilize_module, supertrace_at_origin
 from .milnor import NonIsolatedError, jacobian_quotient
 from .polyring import Polynomial, monomial_divides, monomials_of_weighted_degree
-from .scalars import Scalar
+from .scalars import Scalar, format_sum, power_text
 
 
 class UniPoly:
@@ -62,26 +63,8 @@ class UniPoly:
         return total
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if e == 1 else f"t^{e}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        return format_sum([(str(c), power_text("t", e) if e else "")
+                           for e, c in enumerate(self.coeffs) if c])
 
 
 @dataclass

@@ -118,6 +118,8 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
     if not alpha.is_closed():
         raise ValueError("alpha must be closed")
     ts = trace_space(mf.potential, t)  # validates the symmetry
+    if not _same_mf(alpha.target, pullback(t, mf)):
+        raise ValueError("alpha must end at the pullback of the factorization by t")
     moving = list(ts.moving_indices)
     fixed = list(ts.fixed_indices)
     delta = mf.full_matrix()

@@ -246,12 +246,14 @@ class MFMorphism:
                           _poly_mat_scale(self.matrix, as_scalar(c)), check_parity=False)
 
     def differential(self) -> "MFMorphism":
-        """D(phi) = d_B phi - (-1)^{|phi|} phi d_A."""
-        zero, n = self.source.ring.zero(), self.source.total_rank
-        left = linalg.mat_mul(self.target.full_matrix(), self.matrix, zero, cols=n)
-        right = linalg.mat_mul(self.matrix, self.source.full_matrix(), zero, cols=n)
-        sign = Scalar.from_rational(1 if self.parity % 2 == 0 else -1)
-        mat = [[l - r * sign for l, r in zip(lr, rr)] for lr, rr in zip(left, right)]
+        """D(phi) = sum of phi_ij D e_ij, D being R-linear, with D e_ij from _d_column."""
+        da, db = self.source.full_matrix(), self.target.full_matrix()
+        mat = linalg.zeros(self.target.total_rank, self.source.total_rank, self.source.ring.zero())
+        for i, row in enumerate(self.matrix):
+            for j, phi in enumerate(row):
+                if not phi.is_zero():
+                    for (k, l), e in _d_column(da, db, i, j, self.parity):
+                        mat[k][l] = mat[k][l] + phi * e
         return MFMorphism(self.source, self.target, self.parity + 1, mat, check_parity=False)
 
     def is_closed(self) -> bool:

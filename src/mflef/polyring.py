@@ -2,7 +2,8 @@
 
 Monomials are exponent tuples indexed by the ring's variables; a polynomial
 stores a monomial -> nonzero Scalar map.  The canonical term order used for
-display and leading terms is degree-reverse-lexicographic.
+display and leading terms is degree-reverse-lexicographic.  The one monomial
+printer, PolyRing.monomial_text, serves Polynomial.__str__ and the CLI.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .linalg import echelon_form
-from .scalars import RootOfUnity, Scalar, as_scalar, power_product
+from .scalars import RootOfUnity, Scalar, as_scalar, format_sum, power_product, power_text
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -73,6 +74,10 @@ class PolyRing:
             raise ValueError("bad exponent vector")
         c = as_scalar(coeff)
         return Polynomial(self, {exps: c} if not c.is_zero() else {})
+
+    def monomial_text(self, m: Monomial) -> str:
+        """The printed monomial, x^2*y for (2, 1); the unit monomial prints ""."""
+        return "*".join([power_text(v, e) for v, e in zip(self.vars, m) if e])
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -175,10 +180,6 @@ class Polynomial:
             raise ValueError("zero polynomial")
         return max(self.terms, key=degrevlex_key)
 
-    def sorted_terms(self):
-        """Terms in descending degrevlex order (deterministic serialization)."""
-        return sorted(self.terms.items(), key=lambda kv: degrevlex_key(kv[0]), reverse=True)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -272,28 +273,8 @@ class Polynomial:
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v for v, e in zip(self.ring.vars, m) if e
-            )
-            cs = str(c)
-            if not mono:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            elif ("+" in cs) or ("-" in cs[1:]) or (" " in cs):
-                parts.append(f"({cs})*{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        terms = sorted(self.terms.items(), key=lambda kv: degrevlex_key(kv[0]), reverse=True)
+        return format_sum([(str(c), self.ring.monomial_text(m)) for m, c in terms])
 
     def __repr__(self):
         return f"Poly({self})"

@@ -10,6 +10,8 @@ all arithmetic runs on Python ints; the Fraction coordinates ``coeffs`` are
 derived on request.  Order m = 1 is the rational field.  Arithmetic between
 two scalars first embeds both into Q(zeta_L) with L = lcm of the two orders;
 results keep order L (no automatic descent, see :meth:`Scalar.descend`).
+Every exact value (scalar, polynomial, chi polynomial) prints through one
+term rule, :func:`format_sum`, with powers printed by :func:`power_text`.
 """
 
 from __future__ import annotations
@@ -165,6 +167,37 @@ def _sum(a: Scalar, b: Scalar, op) -> Scalar:
     if ad == bd:
         return _scalar(m, tuple(map(op, an, bn)), ad)
     return _scalar(m, [op(x * bd, y * ad) for x, y in zip(an, bn)], ad * bd)
+
+
+def power_text(base: str, e: int) -> str:
+    """base^e for a positive e, with base^1 printed as base."""
+    return base if e == 1 else f"{base}^{e}"
+
+
+def format_sum(terms) -> str:
+    """The printed sum of (coefficient, monomial) texts.  An empty monomial prints
+    the coefficient alone; coefficients 1 and -1 print m and -m; a compound one
+    (a "+", a later "-" or a space) is parenthesized; a leading minus joins with
+    " - "; no terms print "0"."""
+    text = ""
+    for coeff, mono in terms:
+        if not mono:
+            part = coeff
+        elif coeff == "1":
+            part = mono
+        elif coeff == "-1":
+            part = "-" + mono
+        elif "+" in coeff or "-" in coeff[1:] or " " in coeff:
+            part = f"({coeff})*{mono}"
+        else:
+            part = f"{coeff}*{mono}"
+        if not text:
+            text = part
+        elif part[0] == "-":
+            text += f" - {part[1:]}"
+        else:
+            text += f" + {part}"
+    return text or "0"
 
 
 class Scalar:
@@ -399,27 +432,9 @@ class Scalar:
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                base = str(c)
-            else:
-                zeta = f"zeta({self.order})" + (f"^{k}" if k > 1 else "")
-                if c == 1:
-                    base = zeta
-                elif c == -1:
-                    base = f"-{zeta}"
-                else:
-                    base = f"{c}*{zeta}"
-            parts.append(base)
-        text = parts[0]
-        for part in parts[1:]:
-            text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return text
+        zeta = f"zeta({self.order})"
+        return format_sum([(str(c), power_text(zeta, k) if k else "")
+                           for k, c in enumerate(self.coeffs) if c])
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -568,9 +583,7 @@ class RootOfUnity:
         return hash((self.order // g, (self.exponent // g) % (self.order // g) if g else 0))
 
     def __str__(self):
-        if self.is_one():
-            return "1"
-        return f"zeta({self.order})" + (f"^{self.exponent}" if self.exponent > 1 else "")
+        return power_text(f"zeta({self.order})", self.exponent) if self.exponent else "1"
 
     def __repr__(self):
         return f"RootOfUnity({self.order}, {self.exponent})"

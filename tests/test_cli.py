@@ -223,6 +223,32 @@ name = P
 vars = x, y
 degrees = -1
 relations = { x ; y }
+
+[potential]
+w = x^3
+
+[symmetry]
+name = t
+potential = w
+roots = zeta(3)^[1]
+
+[mf]
+name = C
+potential = w
+d0 = { 1 }
+d1 = { x^3 }
+
+[morphism]
+name = one
+source = C
+target = C
+twist = t
+twisted = target
+parity = even
+mat = {
+1 ; 0
+0 ; 1
+}
 """
 
 
@@ -230,10 +256,14 @@ relations = { x ; y }
     (["hilbert", "M"], 0, "hilbert M: chi = 1 - 2*t^2 + t^3  d = 1  e = 1 + t - t^2\n", ""),
     (["hilbert", "N"], 0, "hilbert N: chi = t - 2*t^2 + t^3  d = 0  e = t\n", ""),
     (["hilbert", "P"], 2, "", "error: chi needs nonnegative generator degrees\n"),
-], ids=["gap", "shifted", "negative-degree"])
+    (["divisibility", "C", "t", "one", "3"], 0, "divisibility C/t/p=3: str = 0  "
+     "valuation = inf  bound = 1  m_max = 0  [pass]\n", ""),
+], ids=["gap", "shifted", "negative-degree", "infinite-valuation"])
 def test_hilbert_output(argv, status, out, err, tmp_path, capsys):
     # R/(x^2, xy): chi has a coefficient other than +-1 and a gap at t^1.
     # A generator of negative degree would need a Laurent polynomial.
+    # The contractible C = (1, x^3) has the zero supertrace, whose
+    # (1 - zeta_3)-adic valuation is infinite and prints as `inf`.
     doc = tmp_path / "modules.mflef"
     doc.write_text(HILBERT_MODULES)
     assert _run(argv + ["-i", str(doc)]) == status
@@ -658,6 +688,92 @@ def test_pair_over_different_potentials_is_input_error(argv, message, tmp_path, 
     doc.write_text(DIFFERENT_POTENTIALS)
     assert _run(argv + ["-i", str(doc)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+TWISTS = (FIXTURES / "a2.mflef").read_text() + """
+[symmetry]
+name = s
+potential = w
+roots = zeta(3)^[2]
+
+[symmetry]
+name = u
+potential = w
+roots = zeta(6)^[2]
+
+[symmetry]
+name = i
+potential = w
+roots = zeta(1)^[0]
+
+[morphism]
+name = gamma
+source = A
+target = A
+twist = s
+twisted = source
+parity = even
+mat = {
+1 ; 0
+0 ; zeta(3)
+}
+
+[morphism]
+name = ident
+source = A
+target = A
+parity = even
+mat = {
+1 ; 0
+0 ; 1
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["groebner", "graded"])
+@pytest.mark.parametrize("argv, message", [
+    (["bb", "A", "s", "alpha"], "morphism 'alpha' is twisted by t, not by the symmetry 's'"),
+    (["pair", "A", "A", "s", "alpha", "beta"],
+     "morphism 'alpha' is twisted by t, not by the symmetry 's'"),
+    (["hlf-verify", "A", "A", "s", "alpha", "beta"],
+     "morphism 'alpha' is twisted by t, not by the symmetry 's'"),
+    (["isolated-verify", "A", "A", "s", "alpha", "beta"],
+     "morphism 'alpha' is twisted by t, not by the symmetry 's'"),
+    (["zero-check", "A", "A", "s", "alpha", "beta"],
+     "morphism 'alpha' is twisted by t, not by the symmetry 's'"),
+    (["trace-identity", "A", "s", "alpha"],
+     "morphism 'alpha' is twisted by t, not by the symmetry 's'"),
+    (["divisibility", "A", "s", "alpha", "3"],
+     "morphism 'alpha' is twisted by t, not by the symmetry 's'"),
+    (["pair", "A", "A", "t", "alpha", "gamma"],
+     "morphism 'gamma' is twisted by s, not by the symmetry 't'"),
+    (["bb", "A", "t", "ident"], "morphism 'ident' is twisted by the identity, not by the symmetry 't'"),
+], ids=["bb", "pair", "hlf-verify", "isolated-verify", "zero-check", "trace-identity",
+        "divisibility", "pair-beta", "untwisted"])
+def test_morphism_twisted_by_another_symmetry_is_input_error(argv, message, engine, tmp_path,
+                                                            capsys):
+    # alpha: A -> t^*A used with s = t^2 once printed a class of t as one of s
+    # (bb, divisibility) or failed deep inside an engine
+    doc = tmp_path / "twists.mflef"
+    doc.write_text(TWISTS)
+    assert _run(argv + ["-i", str(doc), "--engine", engine]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["bb", "A", "u", "alpha"], "bb A u alpha: class = 1 - zeta(3)  parity = even"),
+    (["hlf-verify", "A", "A", "u", "alpha", "beta"],
+     "hlf-verify A/A/u: lhs = 1 + zeta(6)  rhs = 1 + zeta(6)  [equal]"),
+    (["bb", "A", "i", "ident"], "bb A i ident: class = 0  parity = odd"),
+], ids=["same-roots", "same-roots-verify", "identity"])
+def test_twist_is_matched_by_roots_not_names(argv, line, tmp_path, capsys):
+    # u = zeta(6)^[2] is t = zeta(3)^[1] under another name, and an untwisted
+    # morphism is twisted by the identity
+    doc = tmp_path / "twists.mflef"
+    doc.write_text(TWISTS)
+    assert _run(argv + ["-i", str(doc)]) == 0
+    assert capsys.readouterr() == (line + "\n", "")
 
 
 @pytest.mark.parametrize("p", ["4", "1000000", "2000000000"])

@@ -89,6 +89,20 @@ def test_boundary_bulk_odd_composite_vanishes():
     assert tau.is_zero() and tau.parity == 1
 
 
+def test_boundary_bulk_refuses_an_alpha_twisted_by_another_symmetry():
+    # alpha: A -> t^*A taken as a class of s = t^2 printed 1 - zeta(3) for s;
+    # the target must be s^*A, so alpha is refused, and by rhs_hlf too
+    mf, t, alpha, beta = a2_data()
+    s = [RootOfUnity(3, 2)]
+    message = "^alpha must end at the pullback of the factorization by t$"
+    with pytest.raises(ValueError, match=message):
+        boundary_bulk(mf, s, alpha)
+    with pytest.raises(ValueError, match=message):
+        rhs_hlf(mf, mf, s, alpha, beta)
+    # the same roots of another order are the same symmetry
+    assert boundary_bulk(mf, [RootOfUnity(6, 2)], alpha) == boundary_bulk(mf, t, alpha)
+
+
 def test_tilde_beta():
     mf, t, alpha, beta = a2_data()
     tb = tilde_beta(t, beta)

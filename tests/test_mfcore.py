@@ -217,6 +217,39 @@ def test_supertrace_kills_coboundaries():
     assert supertrace_at_origin(d_psi) == 0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_differential_matches_the_two_products(seed):
+    # differential() sums phi_ij D e_ij over _d_column; it must equal the
+    # product formula d_B phi - (-1)^|phi| phi d_A entry by entry, and
+    # is_closed must read the same verdict off it
+    import random
+
+    from mflef import linalg
+
+    rng = random.Random(seed)
+    x2, y2 = R2.var("x"), R2.var("y")
+    a = koszul_mf([x2, y2], [x2 ** 2, y2])
+    b = koszul_mf([x2 ** 2, y2], [x2, y2])  # another factorization of w = x^3 + y^2
+    coeffs = [Scalar.one(), -Scalar.one(), Scalar.zeta(3), Scalar.from_rational(Fraction(1, 2))]
+    monos = [(0, 0), (1, 0), (0, 1), (2, 1)]
+    for parity in (0, 1):
+        sp, tp = a.parities(), b.parities()
+        mat = [[R2.zero() if (tp[i] + sp[j]) % 2 != parity else
+                sum((R2.monomial(m, rng.choice(coeffs)) for m in rng.sample(monos, 2)), R2.zero())
+                for j in range(a.total_rank)] for i in range(b.total_rank)]
+        phi = MFMorphism(a, b, parity, mat)
+        zero = R2.zero()
+        left = linalg.mat_mul(b.full_matrix(), phi.matrix, zero, cols=a.total_rank)
+        right = linalg.mat_mul(phi.matrix, a.full_matrix(), zero, cols=a.total_rank)
+        sign = 1 if parity == 0 else -1
+        expected = [[l - r * sign for l, r in zip(lr, rr)] for lr, rr in zip(left, right)]
+        d_phi = phi.differential()
+        assert d_phi.parity == 1 - parity
+        assert all(e == f for row, erow in zip(d_phi.matrix, expected) for e, f in zip(row, erow))
+        assert phi.is_closed() == all(e.is_zero() for row in expected for e in row)
+        assert d_phi.is_closed()  # D^2 = 0
+
+
 def test_stabilize_r_mod_x():
     pres = GradedModulePresentation.cyclic(R1, [x])
     mf, alpha = stabilize_module(pres, x**2)
