@@ -52,7 +52,7 @@ from .lefschetz import (
     verify_isolated,
     zero_fixed_locus_check,
 )
-from .mfcore import stabilize_module, supertrace_at_origin, validate_mf
+from .mfcore import stabilize_module, supertrace_at_origin
 from .milnor import MilnorAlgebra, NonIsolatedError
 
 SCHEMA_VERSION = "1"
@@ -109,16 +109,12 @@ def _morphism_as(doc, name, expected_twisted, sname):
 def run_command(command, args, doc, engine="groebner"):
     """Execute one command; returns (lines, report_dicts, ok)."""
     if command != "corpus" and len(args) == 1 and args[0] in doc.cases:
-        case_command, case_args = doc.cases[args[0]]
+        case_command = doc.cases[args[0]][0]
         if case_command != command:
             raise InputError(
                 f"case {args[0]!r} is declared for command {case_command!r}"
             )
-        lines, reports, ok = run_command(case_command, case_args, doc, engine)
-        lines = [f"{args[0]}: {line}" for line in lines]
-        for rep in reports:
-            rep["case"] = args[0]
-        return lines, reports, ok
+        return _run_case(args[0], doc, engine)
 
     if command == "milnor":
         (wname,) = _args(args, 1)
@@ -208,7 +204,6 @@ def run_command(command, args, doc, engine="groebner"):
         w = _need(doc, "potentials", wname)
         start = _now()
         mf, alpha = stabilize_module(pres, w)
-        validate_mf(mf)
         lines = [f"stabilize {mname} {wname}: ranks = ({mf.r0},{mf.r1})"]
         if alpha is not None:
             value = supertrace_at_origin(alpha)
@@ -264,19 +259,23 @@ def run_command(command, args, doc, engine="groebner"):
         reports = []
         ok = True
         for case_name in sorted(doc.cases):
-            case_command, case_args = doc.cases[case_name]
-            sub_lines, sub_reports, sub_ok = run_command(
-                case_command, case_args, doc, engine
-            )
-            lines += [f"{case_name}: {line}" for line in sub_lines]
-            for rep in sub_reports:
-                rep["case"] = case_name
+            sub_lines, sub_reports, sub_ok = _run_case(case_name, doc, engine)
+            lines += sub_lines
             reports += sub_reports
             ok = ok and sub_ok
         lines.append(f"corpus: {len(doc.cases)} cases, " + ("all passed" if ok else "FAILURES"))
         return lines, reports, ok
 
     raise InputError(f"unknown command {command!r}")
+
+
+def _run_case(name, doc, engine):
+    """Run the declared case `name`; its lines and reports carry its name."""
+    command, args = doc.cases[name]
+    lines, reports, ok = run_command(command, args, doc, engine)
+    for rep in reports:
+        rep["case"] = name
+    return [f"{name}: {line}" for line in lines], reports, ok
 
 
 def _args(args, count):

@@ -7,6 +7,8 @@ expressions inside `{ }` (one row per line, or a single row inline).
 Expressions use integers, `a/b` rationals, `zeta(m)` and `zeta(m)^k`, variable
 identifiers, and `+ - * / ^ ( )`.  Symmetries are written
 `t = zeta(m)^[a_1,...,a_n]`, one exponent per variable of the potential.
+A number is a run of decimal digits and an identifier a word that starts with
+a letter or `_`; any other character is refused.  Every refusal names its line.
 
     [potential]
     w = x^3 + y^3            # or: name = w / expr = ... ; optional vars = x, y
@@ -53,6 +55,7 @@ Parsing checks the LIMITS below before the arithmetic they guard.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .groebner import GradedModulePresentation
@@ -88,34 +91,30 @@ RESERVED_KEYS = {
 # -- expression parsing --------------------------------------------------------
 
 
+# decimal digits | a word, an identifier if it starts with a letter or `_` and
+# refused otherwise | an operator | any other character, refused
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*/^()\[\],;])|(\S))")
+
+
 class _Tokens:
     def __init__(self, text, line=None):
         self.items = []
         self.pos = 0
         self.depth = 0
         self.line = line
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.items.append(("num", int(text[i:j])))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.items.append(("ident", text[i:j]))
-                i = j
-            elif c in "+-*/^()[],;":
-                self.items.append((c, c))
-                i += 1
+        for digits, word, op, other in _TOKEN.findall(text):
+            if digits:
+                try:
+                    self.items.append(("num", int(digits)))
+                except ValueError:  # longer than the interpreter's digit limit
+                    raise DocumentError(f"integer literal of {len(digits)} digits is too long",
+                                        line) from None
+            elif op:
+                self.items.append((op, op))
+            elif word and (word[0].isalpha() or word[0] == "_"):
+                self.items.append(("ident", word))
             else:
-                raise DocumentError(f"unexpected character {c!r}", line)
+                raise DocumentError(f"unexpected character {(word or other)[0]!r}", line)
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else (None, None)
@@ -130,13 +129,6 @@ class _Tokens:
         if tok[0] != kind:
             raise DocumentError(f"expected {kind!r}, found {tok[1]!r}", self.line)
         return tok
-
-
-def _parse_expression(tokens: _Tokens, ring: PolyRing) -> Polynomial:
-    expr = _parse_sum(tokens, ring)
-    if tokens.peek()[0] is not None:
-        raise DocumentError(f"trailing input {tokens.peek()[1]!r}", tokens.line)
-    return expr
 
 
 def _bound(line, what, value):
@@ -254,7 +246,11 @@ def _zeta_order(tokens):
 
 
 def parse_polynomial(text: str, ring: PolyRing, line=None) -> Polynomial:
-    return _parse_expression(_Tokens(text, line), ring)
+    tokens = _Tokens(text, line)
+    expr = _parse_sum(tokens, ring)
+    if tokens.peek()[0] is not None:
+        raise DocumentError(f"trailing input {tokens.peek()[1]!r}", line)
+    return expr
 
 
 def parse_symmetry_literal(text: str, nvars: int, line=None):
@@ -294,15 +290,9 @@ def _variable_list(entry):
 
 
 def _variables_in_order(text: str, line=None):
-    seen = []
-    tokens = _Tokens(text, line)
-    for kind, value in tokens.items:
-        if kind == "ident":
-            if value == "zeta":
-                continue
-            if value not in seen:
-                seen.append(value)
-    return tuple(seen)
+    """The identifiers of an expression other than `zeta`, in order of first use."""
+    return tuple(dict.fromkeys(value for kind, value in _Tokens(text, line).items
+                               if kind == "ident" and value != "zeta"))
 
 
 # -- workspace entities --------------------------------------------------------
@@ -317,43 +307,22 @@ class WorkspaceDocument:
         self.modules: dict = {}      # name -> GradedModulePresentation
         self.cases: dict = {}        # name -> (command, list of raw args)
 
+    def _identity(self):
+        """Each table as a comparable value; equal documents have equal identities."""
+        fields = ("source", "target", "twist", "twisted", "parity")
+        return (
+            {k: (w.ring, w) for k, w in self.potentials.items()},
+            {k: (p, mf.d0, mf.d1, mf.gradings) for k, (p, mf) in self.factorizations.items()},
+            {k: (*(e[f] for f in fields), e["morphism"].matrix) for k, e in self.morphisms.items()},
+            {k: (m.ring, m.gen_degrees, m.relations) for k, m in self.modules.items()},
+            self.symmetries,
+            self.cases,
+        )
+
     def __eq__(self, other):
         if not isinstance(other, WorkspaceDocument):
             return NotImplemented
-        if self.potentials.keys() != other.potentials.keys():
-            return False
-        for k, w in self.potentials.items():
-            v = other.potentials[k]
-            if w.ring != v.ring or not (w == v):
-                return False
-        if self.symmetries != other.symmetries:
-            return False
-        if self.factorizations.keys() != other.factorizations.keys():
-            return False
-        for k, (pname, mf) in self.factorizations.items():
-            qname, other_mf = other.factorizations[k]
-            if pname != qname or mf.d0 != other_mf.d0 or mf.d1 != other_mf.d1:
-                return False
-            if mf.gradings != other_mf.gradings:
-                return False
-        if self.morphisms.keys() != other.morphisms.keys():
-            return False
-        for k, entry in self.morphisms.items():
-            o = other.morphisms[k]
-            for field in ("source", "target", "twist", "twisted", "parity"):
-                if entry[field] != o[field]:
-                    return False
-            if entry["morphism"].matrix != o["morphism"].matrix:
-                return False
-        if self.modules.keys() != other.modules.keys():
-            return False
-        for k, pres in self.modules.items():
-            o = other.modules[k]
-            if pres.ring != o.ring or pres.gen_degrees != o.gen_degrees:
-                return False
-            if pres.relations != o.relations:
-                return False
-        return self.cases == other.cases
+        return self._identity() == other._identity()
 
     __hash__ = None
 
@@ -454,30 +423,33 @@ def parse_document(text: str) -> WorkspaceDocument:
             else:
                 free.append((key, value, lineno))
         line0 = section["line"]
-        if kind == "potential":
-            _load_potential(doc, data, free, line0)
-        elif kind == "symmetry":
-            _load_symmetry(doc, data, free, line0)
-        elif kind == "mf":
-            _load_mf(doc, data, free, line0)
-        elif kind == "morphism":
-            _load_morphism(doc, data, free, line0)
-        elif kind == "module":
-            _load_module(doc, data, free, line0)
-        elif kind == "case":
-            _load_case(doc, data, free, line0)
-        else:
+        if kind not in _LOADERS:
             raise DocumentError(f"unknown section kind {kind!r}", line0)
+        _LOADERS[kind](doc, data, free, line0)
     return doc
 
 
-def _single_potential(doc, line):
-    if len(doc.potentials) != 1:
+def _define(table, name, value, what, line):
+    """Store a loaded entity under its name, refusing a second definition."""
+    if name in table:
+        raise DocumentError(f"duplicate {what} {name!r}", line)
+    table[name] = value
+
+
+def _potential_name(doc, data, line):
+    """The potential a section refers to: its `potential` entry, or the only one declared."""
+    if "potential" in data:
+        pname = data["potential"][0]
+    elif len(doc.potentials) == 1:
+        pname = next(iter(doc.potentials))
+    else:
         raise DocumentError("potential reference required (several declared)", line)
-    return next(iter(doc.potentials))
+    if pname not in doc.potentials:
+        raise DocumentError(f"unknown potential {pname!r}", line)
+    return pname
 
 
-def _get_name(doc, data, free, line, what):
+def _get_name(data, free, line, what):
     if "name" in data:
         return data["name"][0], None
     if len(free) == 1:
@@ -486,7 +458,7 @@ def _get_name(doc, data, free, line, what):
 
 
 def _load_potential(doc, data, free, line):
-    name, free_entry = _get_name(doc, data, free, line, "potential")
+    name, free_entry = _get_name(data, free, line, "potential")
     if free_entry is not None:
         expr_value, expr_line = free_entry[1], free_entry[2]
     elif "expr" in data:
@@ -504,36 +476,28 @@ def _load_potential(doc, data, free, line):
     _bound(vars_line, "variable count", len(var_names))
     ring = PolyRing(var_names)
     poly = parse_polynomial(expr_value, ring, expr_line)
-    if name in doc.potentials:
-        raise DocumentError(f"duplicate potential {name!r}", line)
-    doc.potentials[name] = poly
+    _define(doc.potentials, name, poly, "potential", line)
 
 
 def _load_symmetry(doc, data, free, line):
-    name, free_entry = _get_name(doc, data, free, line, "symmetry")
+    name, free_entry = _get_name(data, free, line, "symmetry")
     if free_entry is not None:
         literal, lit_line = free_entry[1], free_entry[2]
     elif "roots" in data:
         literal, lit_line = data["roots"]
     else:
         raise DocumentError("symmetry needs a zeta(m)^[...] literal", line)
-    pname = data["potential"][0] if "potential" in data else _single_potential(doc, line)
-    if pname not in doc.potentials:
-        raise DocumentError(f"unknown potential {pname!r}", line)
+    pname = _potential_name(doc, data, line)
     w = doc.potentials[pname]
     roots = parse_symmetry_literal(literal, w.ring.nvars, lit_line)
     if not check_symmetry(w, roots):
         raise DocumentError(f"{name!r} is not a symmetry of {pname!r}", lit_line)
-    if name in doc.symmetries:
-        raise DocumentError(f"duplicate symmetry {name!r}", line)
-    doc.symmetries[name] = (pname, roots)
+    _define(doc.symmetries, name, (pname, roots), "symmetry", line)
 
 
 def _load_mf(doc, data, free, line):
-    name, _ = _get_name(doc, data, free, line, "matrix factorization")
-    pname = data["potential"][0] if "potential" in data else _single_potential(doc, line)
-    if pname not in doc.potentials:
-        raise DocumentError(f"unknown potential {pname!r}", line)
+    name, _ = _get_name(data, free, line, "matrix factorization")
+    pname = _potential_name(doc, data, line)
     w = doc.potentials[pname]
     for key in ("d0", "d1"):
         if key not in data or not isinstance(data[key][0], list):
@@ -552,13 +516,11 @@ def _load_mf(doc, data, free, line):
         mf = MatrixFactorization(w, d0, d1, gradings=gradings)
     except ValueError as exc:
         raise DocumentError(f"invalid factorization {name!r}: {exc}", line)
-    if name in doc.factorizations:
-        raise DocumentError(f"duplicate factorization {name!r}", line)
-    doc.factorizations[name] = (pname, mf)
+    _define(doc.factorizations, name, (pname, mf), "factorization", line)
 
 
 def _load_morphism(doc, data, free, line):
-    name, _ = _get_name(doc, data, free, line, "morphism")
+    name, _ = _get_name(data, free, line, "morphism")
     for key in ("source", "target", "mat"):
         if key not in data:
             raise DocumentError(f"morphism needs {key}", line)
@@ -592,20 +554,18 @@ def _load_morphism(doc, data, free, line):
         raise DocumentError(f"invalid morphism {name!r}: {exc}", line)
     if not morphism.is_closed():
         raise DocumentError(f"morphism {name!r} is not closed", line)
-    if name in doc.morphisms:
-        raise DocumentError(f"duplicate morphism {name!r}", line)
-    doc.morphisms[name] = {
+    _define(doc.morphisms, name, {
         "source": source_name,
         "target": target_name,
         "twist": twist_name,
         "twisted": twisted,
         "parity": parity_text,
         "morphism": morphism,
-    }
+    }, "morphism", line)
 
 
 def _load_module(doc, data, free, line):
-    name, _ = _get_name(doc, data, free, line, "module")
+    name, _ = _get_name(data, free, line, "module")
     if "vars" in data:
         var_names, vars_line = _variable_list(data["vars"])
         _bound(vars_line, "variable count", len(var_names))
@@ -629,20 +589,18 @@ def _load_module(doc, data, free, line):
         pres = GradedModulePresentation(ring, degrees, relations)
     except ValueError as exc:
         raise DocumentError(f"invalid module {name!r}: {exc}", line)
-    if name in doc.modules:
-        raise DocumentError(f"duplicate module {name!r}", line)
-    doc.modules[name] = pres
+    _define(doc.modules, name, pres, "module", line)
 
 
 def _load_case(doc, data, free, line):
     if "name" not in data or "command" not in data:
         raise DocumentError("case needs name and command", line)
-    name = data["name"][0]
-    command = data["command"][0]
     args = data["args"][0].split() if "args" in data else []
-    if name in doc.cases:
-        raise DocumentError(f"duplicate case {name!r}", line)
-    doc.cases[name] = (command, args)
+    _define(doc.cases, data["name"][0], (data["command"][0], args), "case", line)
+
+
+_LOADERS = {"potential": _load_potential, "symmetry": _load_symmetry, "mf": _load_mf,
+            "morphism": _load_morphism, "module": _load_module, "case": _load_case}
 
 
 # -- serialization -------------------------------------------------------------
@@ -662,9 +620,7 @@ def serialize_document(doc: WorkspaceDocument) -> str:
         lines += ["[potential]", f"name = {name}",
                   f"vars = {', '.join(w.ring.vars)}", f"expr = {w}", ""]
     for name, (pname, roots) in doc.symmetries.items():
-        order = 1
-        for r in roots:
-            order = math.lcm(order, r.order)
+        order = math.lcm(1, *(r.order for r in roots))
         exps = [r.exponent * (order // r.order) % order for r in roots]
         literal = f"zeta({order})^[{','.join(str(e) for e in exps)}]"
         lines += ["[symmetry]", f"name = {name}", f"potential = {pname}",

@@ -28,7 +28,7 @@ from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
 from .mfcore import GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _same_mf, _slice
-from .polyring import WeightSystem, monomial_mul, monomials_of_weighted_degree, scale_substitute
+from .polyring import WeightSystem, monomial_mul, scale_substitute
 from .scalars import Scalar, power_product
 
 
@@ -394,7 +394,8 @@ def _strands(a, b, weights, s_deg, bound=None):
     def piece(parity, degree):
         key = (parity, degree)
         if key not in pieces:
-            pieces[key] = _piece(a, b, weights, ga, gb, pa, pb, parity, degree)
+            pieces[key] = GradedHomPiece.of(weights, gb, ga, degree,
+                                            lambda i, j: (pb[i] + pa[j]) % 2 == parity)
         return pieces[key]
 
     if bound is None:
@@ -474,18 +475,6 @@ def graded_cohomology_dimensions(a, b):
     for parity, piece, m_out, m_in in _strands(a, b, weights, shift, socle + spread + 1):
         dims[parity] += len(piece.elements) - linalg.rank(m_out) - linalg.rank(m_in)
     return tuple(dims)
-
-
-def _piece(a, b, weights, ga, gb, pa, pb, parity, degree) -> GradedHomPiece:
-    elements = []
-    for ai in range(b.total_rank):
-        for bj in range(a.total_rank):
-            if (pb[ai] + pa[bj]) % 2 != parity:
-                continue
-            need = degree - (gb[ai] - ga[bj])
-            for mono in monomials_of_weighted_degree(weights, need):
-                elements.append((ai, bj, mono))
-    return GradedHomPiece(elements)
 
 
 class GradedStrand:

@@ -544,6 +544,14 @@ class GradedHomPiece:
         self.elements = elements  # list of (i, j, mono)
         self.index = {e: i for i, e in enumerate(elements)}
 
+    @classmethod
+    def of(cls, weights, rows, cols, degree, keep):
+        """The cochains x^m e_ij, by i, j and then m, with keep(i, j) and
+        wdeg(m) = degree - rows[i] + cols[j]: rows and cols are the degrees of
+        the target and source slots."""
+        return cls([(i, j, m) for i, gi in enumerate(rows) for j, gj in enumerate(cols)
+                    if keep(i, j) for m in monomials_of_weighted_degree(weights, degree - gi + gj)])
+
 
 def _slice(src: GradedHomPiece, dst: GradedHomPiece, columns, factor=None):
     """Scalar matrix, from piece src to piece dst, of the operator sending x^m e_ij
@@ -610,10 +618,8 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
 
     def piece(rise, op_degree):
         """The entries x^m e_ij of End(F) that raise the step by `rise`, of degree op_degree."""
-        return GradedHomPiece([(i, j, m) for i in range(total) for j in range(total)
-                               if step[i] - step[j] == rise
-                               for m in monomials_of_weighted_degree(
-                                   ones, degrees[j] + op_degree - degrees[i])])
+        return GradedHomPiece.of(ones, degrees, degrees, op_degree,
+                                 lambda i, j: step[i] - step[j] == rise)
 
     operator = [row[:] for row in d]
     guard = 0

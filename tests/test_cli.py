@@ -393,6 +393,22 @@ def test_degenerate_scalar_literal_is_input_error(text, message, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("x^\u00b2", "error: line 2: unexpected character '\u00b2'"),
+    pytest.param("7" * (DIGIT_LIMIT + 1) + "*x^2",
+                 f"error: line 2: integer literal of {DIGIT_LIMIT + 1} digits is too long",
+                 marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")),
+], ids=["superscript-digit", "over-long-integer"])
+def test_unreadable_literal_is_input_error_on_its_line(expr, message, tmp_path, capsys):
+    doc = tmp_path / "bad.mflef"
+    doc.write_text(f"[potential]\nw = {expr}\n", encoding="utf-8")
+    assert _run(["milnor", "w", "-i", str(doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_internal_check_failure_exits_three(monkeypatch, capsys):
     # a broken invariant inside an engine is neither a verdict (1) nor an
     # input error (2): one `error: internal:` line and exit 3, no traceback

@@ -30,7 +30,7 @@ TOKENS = [
     "zeta(6)^[1]", "^", "*", "+", "-", "/", "(", ")", ";", ",", "=", "{", "}", "[", "]", "#",
     "even", "odd", "source", "target", "[case]", "[mf]", "[module]", "[symmetry]",
     "name = w", "command = hilbert", "args = M w", "degrees = 0, 1", "grading_even = 0",
-    "grading_odd = 1/2",
+    "grading_odd = 1/2", "\u00b2", "\u00e9", "\u0663",  # superscript two, e-acute, Arabic-Indic three
 ] + NAMES + list(COMMANDS)
 
 
@@ -71,7 +71,7 @@ def test_mutated_documents_exit_with_a_documented_status(tmp_path):
     @given(invocations(), st.sampled_from(("groebner", "graded", "both")))
     def run(invocation, engine):
         text, argv = invocation
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main([*argv, "-i", str(path), "--engine", engine])
