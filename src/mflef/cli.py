@@ -32,8 +32,7 @@ import argparse
 import json
 import sys
 
-from .document import DocumentError, parse_document
-from .groebner import NotInModuleError
+from .document import parse_document
 from .hilbert import (
     chi_polynomial,
     chi_stabilization_consistency,
@@ -53,7 +52,7 @@ from .lefschetz import (
     zero_fixed_locus_check,
 )
 from .mfcore import stabilize_module, supertrace_at_origin
-from .milnor import MilnorAlgebra, NonIsolatedError
+from .milnor import MilnorAlgebra
 
 SCHEMA_VERSION = "1"
 
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
     try:
         doc = parse_document(text)
         lines, reports, ok = run_command(opts.command, opts.names, doc, opts.engine)
-    except (DocumentError, InputError, NonIsolatedError, NotInModuleError, ValueError) as exc:
+    except ValueError as exc:  # DocumentError, InputError, NonIsolatedError, NotInModuleError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError) as exc:

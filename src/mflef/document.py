@@ -3,7 +3,8 @@ matrix factorizations, morphisms, graded modules, and verification cases.
 
 Grammar summary.  Sections open with a bracketed header and hold `key = value`
 lines; `#` starts a comment.  Matrix values are rows of `;`-separated
-expressions inside `{ }` (one row per line, or a single row inline).
+expressions inside `{ }` (one row per line, or a single row inline); only
+`d0`, `d1`, `mat` and `relations` take one, and every other key one value.
 Expressions use integers, `a/b` rationals, `zeta(m)` and `zeta(m)^k`, variable
 identifiers, and `+ - * / ^ ( )`.  Symmetries are written
 `t = zeta(m)^[a_1,...,a_n]`, one exponent per variable of the potential.
@@ -86,6 +87,7 @@ RESERVED_KEYS = {
     "twisted", "parity", "d0", "d1", "grading_even", "grading_odd", "degrees",
     "relations", "command", "args", "mat",
 }
+_BLOCK_KEYS = {"d0", "d1", "mat", "relations"}  # every other key takes a single value
 
 
 # -- expression parsing --------------------------------------------------------
@@ -416,6 +418,7 @@ def parse_document(text: str) -> WorkspaceDocument:
         data = {}
         free = []
         for key, value, lineno in entries:
+            _check_shape(kind, key, value, lineno)
             if key in RESERVED_KEYS:
                 if key in data:
                     raise DocumentError(f"duplicate key {key!r}", lineno)
@@ -427,6 +430,16 @@ def parse_document(text: str) -> WorkspaceDocument:
             raise DocumentError(f"unknown section kind {kind!r}", line0)
         _LOADERS[kind](doc, data, free, line0)
     return doc
+
+
+def _check_shape(kind, key, value, line):
+    """Refuse a `{ }` block where a single value belongs, and the reverse."""
+    if isinstance(value, list) != (key in _BLOCK_KEYS):
+        if key in _BLOCK_KEYS:
+            raise DocumentError(f"{key} needs a {{ }} block", line)
+        if kind == "potential" and (key == "expr" or key not in RESERVED_KEYS):
+            raise DocumentError("potential expression cannot be a matrix", line)
+        raise DocumentError(f"{key} takes a single value, not a {{ }} block", line)
 
 
 def _define(table, name, value, what, line):
@@ -442,6 +455,8 @@ def _potential_name(doc, data, line):
         pname = data["potential"][0]
     elif len(doc.potentials) == 1:
         pname = next(iter(doc.potentials))
+    elif not doc.potentials:
+        raise DocumentError("no potential is declared", line)
     else:
         raise DocumentError("potential reference required (several declared)", line)
     if pname not in doc.potentials:
@@ -465,8 +480,6 @@ def _load_potential(doc, data, free, line):
         expr_value, expr_line = data["expr"]
     else:
         raise DocumentError("potential needs an expression", line)
-    if isinstance(expr_value, list):
-        raise DocumentError("potential expression cannot be a matrix", expr_line)
     if "vars" in data:
         var_names, vars_line = _variable_list(data["vars"])
     else:
@@ -500,7 +513,7 @@ def _load_mf(doc, data, free, line):
     pname = _potential_name(doc, data, line)
     w = doc.potentials[pname]
     for key in ("d0", "d1"):
-        if key not in data or not isinstance(data[key][0], list):
+        if key not in data:
             raise DocumentError(f"matrix factorization needs a {key} matrix", line)
     d0 = _parse_matrix(data["d0"][0], w.ring, line)
     d1 = _parse_matrix(data["d1"][0], w.ring, line)
@@ -581,7 +594,7 @@ def _load_module(doc, data, free, line):
     if any(d.denominator != 1 for d in degrees):
         raise DocumentError("module degrees must be integers", line)
     relations = []
-    if "relations" in data and isinstance(data["relations"][0], list):
+    if "relations" in data:
         relations = _parse_matrix(data["relations"][0], ring, line)
         if relations and len(relations) != len(degrees):
             raise DocumentError("relation matrix needs one row per generator", line)

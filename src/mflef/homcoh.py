@@ -17,17 +17,21 @@ They are independent; the corpus runner cross-checks them.  Both read D off
 one rule, the image of each unit cochain e_ij (mfcore._d_column).  The
 graded engine states its twist the same way: x^m e_ij maps to t^m x^m times
 the image of e_ij, and one slicer (mfcore._slice) reads every scalar matrix
-of a piece off them.
+of a piece off them.  Both sum supertraces by mfcore._supertrace and refuse
+a twist with wrong endpoints or not closed by _check_endpoints; _graded_pair
+describes a graded pair once, and sets the engine's window and the oracle's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
 from .milnor import NonIsolatedError
-from .mfcore import GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _same_mf, _slice
+from .mfcore import (GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _same_mf, _slice,
+                     _supertrace)
 from .polyring import WeightSystem, monomial_mul, scale_substitute
 from .scalars import Scalar, power_product
 
@@ -239,11 +243,13 @@ def twisted_endomorphism_image(t, alpha: MFMorphism, beta: MFMorphism, phi: MFMo
 
 
 def _check_endpoints(a, b, alpha, beta):
-    """alpha must leave the pair's source and beta reach its target."""
+    """alpha must leave the pair's source and beta reach its target, both closed."""
     if not _same_mf(alpha.source, a):
         raise ValueError("alpha must start at the source factorization")
     if not _same_mf(beta.target, b):
         raise ValueError("beta must end at the target factorization")
+    if not alpha.is_closed() or not beta.is_closed():
+        raise ValueError("alpha and beta must be closed morphisms")
 
 
 def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: CohomologyBasis):
@@ -259,8 +265,6 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
     element's coordinates are those of t^m m r_c (see CohomologyBasis).
     """
     _check_endpoints(basis.hom.source, basis.hom.target, alpha, beta)
-    if not alpha.is_closed() or not beta.is_closed():
-        raise ValueError("alpha and beta must be closed morphisms")
     n = basis.total_dim()
     dims = basis.dims
     out = linalg.zeros(n, n)
@@ -283,11 +287,7 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
 
 
 def supertrace_on_cohomology(matrix, parities) -> Scalar:
-    total = Scalar.zero()
-    for i, parity in enumerate(parities):
-        term = matrix[i][i]
-        total = total + (term if parity == 0 else -term)
-    return total
+    return _supertrace((matrix[i][i] for i in range(len(parities))), parities, Scalar.zero())
 
 
 def euler_characteristic(basis: CohomologyBasis) -> int:
@@ -315,8 +315,17 @@ def _grading_degree(matrix, weights, grading, error):
     return degree
 
 
-def _weights_and_shift(a, b):
-    """Weights of the potential and the odd operator's degree shift shared by A and B."""
+def _graded_pair(a, b):
+    """The weights of the potential, the odd operator's degree shift shared by
+    A and B, the socle degree sum(1 - 2 q_i) and the range of their gradings.
+
+    H(Hom(A, B)) sits at degrees up to socle / 2 + spread, the graded engine's
+    window: a cochain (a, b, m) has degree wdeg(m) + g_B(a) - g_A(b) >= -spread,
+    and graded Serre duality pairs H(Hom(A, B))_d with H(Hom(B, A))_d' only for
+    d + d' = socle / 2, where d' >= -spread too.  Above it every strand is
+    acyclic.  The oracle graded_cohomology_dimensions runs to the wider
+    socle + spread + 1, which checks this bound.
+    """
     if not (a.potential == b.potential):
         raise ValueError("factorizations have different potentials")
     ws = WeightSystem.of(a.potential)
@@ -331,34 +340,9 @@ def _weights_and_shift(a, b):
                                       "operator is not homogeneous for the declared grading"))
     if shifts[0] != shifts[1]:
         raise ValueError("source and target gradings use different operator shifts")
-    return ws.weights, shifts[0]
-
-
-def _socle_and_spread(a, b):
-    """Socle degree sum(1 - 2 q_i) of the potential, and the range of the
-    internal gradings of A and B."""
-    ws = WeightSystem.of(a.potential)
-    if ws is None:
-        raise ValueError("potential is not quasi-homogeneous")
-    gradings = list(a.grading_list() or []) + list(b.grading_list() or [])
+    gradings = a.grading_list() + b.grading_list()
     spread = (max(gradings) - min(gradings)) if gradings else Fraction(0)
-    return sum((1 - 2 * q) for q in ws.weights), spread
-
-
-def default_window(a: MatrixFactorization, b: MatrixFactorization):
-    """Top degree socle / 2 + spread of H(Hom(A, B)).
-
-    Every cochain (a, b, m) has internal degree wdeg(m) + g_B(a) - g_A(b) >=
-    -spread, because monomials have nonnegative weight, so the window
-    [-spread, socle / 2 + spread] needs no lower cut.  Graded Serre duality
-    pairs H(Hom(A, B))_d nondegenerately with H(Hom(B, A))_d' only for d + d'
-    = sum(1/2 - q_i), half the socle degree sum(1 - 2 q_i); as d' >= -spread
-    too, cohomology sits at d <= socle / 2 + spread.  Above it every strand
-    is acyclic.  The oracle graded_cohomology_dimensions runs to the wider
-    socle + spread + 1, which checks this bound.
-    """
-    socle, spread = _socle_and_spread(a, b)
-    return socle / 2 + spread
+    return ws.weights, shifts[0], ws.socle_degree, spread
 
 
 def _window_degrees(a, b, weights, bound):
@@ -374,9 +358,8 @@ def _window_degrees(a, b, weights, bound):
     return sorted({v + o for v in reachable for o in offsets if v + o <= bound})
 
 
-def _strands(a, b, weights, s_deg, bound=None):
-    """Each nonempty piece C^P_d with d <= bound, default_window(a, b) unless
-    given, with the matrices of its strand.
+def _strands(a, b, weights, s_deg, bound):
+    """Each nonempty piece C^P_d with d <= bound, with the matrices of its strand.
 
     Yields (P, piece, m_out, m_in) for the three-term strand
     C^{1-P}_{d-s} -> C^P_d -> C^{1-P}_{d+s}, by increasing degree d.  Each
@@ -398,8 +381,6 @@ def _strands(a, b, weights, s_deg, bound=None):
                                             lambda i, j: (pb[i] + pa[j]) % 2 == parity)
         return pieces[key]
 
-    if bound is None:
-        bound = default_window(a, b)
     for d in _window_degrees(a, b, weights, bound):
         for parity in (0, 1):
             middle = piece(parity, d)
@@ -418,15 +399,13 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
     For each internal degree d the three-term strand C^{1-P}_{d-s} -> C^P_d ->
     C^{1-P}_{d+s} is a finite scalar complex preserved by the twisted
     endomorphism; the trace on its middle cohomology is computed directly and
-    summed over the degrees d <= default_window (above which cohomology
-    vanishes).
+    summed over the degrees d <= socle / 2 + spread, above which cohomology
+    vanishes (see _graded_pair).
     The strands depend on (a, b) alone and are reduced once per pair (see
     pair_strands); a call builds only its twist matrices.
     """
-    weights, shift = _weights_and_shift(a, b)
+    weights, shift, socle, spread = _graded_pair(a, b)
     _check_endpoints(a, b, alpha, beta)
-    if not alpha.is_closed() or not beta.is_closed():
-        raise ValueError("alpha and beta must be closed morphisms")
     twist_degree = sum(
         _grading_degree(phi.matrix, weights, g,
                         "morphism is not homogeneous for the declared gradings") or 0
@@ -446,21 +425,20 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
             columns[(i, j)] = [((k, l), -(row[i] * e) if odd else row[i] * e)
                                for k, row in enumerate(beta.matrix) if not row[i].is_zero()
                                for l, e in enumerate(alpha.matrix[j]) if not e.is_zero()]
-    total = Scalar.zero()
-    for strand in pair_strands(a, b, weights, shift):
-        t_mat = _slice(strand.piece, strand.piece, columns, lambda m: power_product(t, m))
-        tr = _subquotient_trace(strand, t_mat)
-        total = total + (tr if strand.parity == 0 else -tr)
-    return total
+    strands = pair_strands(a, b, weights, shift, socle / 2 + spread)
+    scale = partial(power_product, t)
+    traces = (_subquotient_trace(s, _slice(s.piece, s.piece, columns, scale)) for s in strands)
+    return _supertrace(traces, (s.parity for s in strands), Scalar.zero())
 
 
-def pair_strands(a, b, weights, shift):
-    """The reduced strands of (a, b), kept in a._hom_memo from the pair's first
-    request on, by the rules stated on MatrixFactorization."""
+def pair_strands(a, b, weights, shift, bound):
+    """The reduced strands of (a, b) up to degree bound, kept in a._hom_memo
+    from the pair's first request on, by the rules stated on
+    MatrixFactorization."""
     entry = a._hom_memo.get(id(b))
     if entry is not None and entry[2] is not None:
         return entry[2]
-    reduced = (GradedStrand(*strand) for strand in _strands(a, b, weights, shift))
+    reduced = (GradedStrand(*strand) for strand in _strands(a, b, weights, shift, bound))
     strands = tuple(s for s in reduced if s.free)  # no kernel: no trace, no twist to check
     a._hom_memo[id(b)] = (b, None if entry is None else entry[1], strands)
     return strands
@@ -469,8 +447,7 @@ def pair_strands(a, b, weights, shift):
 def graded_cohomology_dimensions(a, b):
     """Brute-force degree-truncated oracle for the cohomology dimensions, over
     degrees up to socle + spread + 1, wider than the graded engine's window."""
-    weights, shift = _weights_and_shift(a, b)
-    socle, spread = _socle_and_spread(a, b)
+    weights, shift, socle, spread = _graded_pair(a, b)
     dims = [0, 0]
     for parity, piece, m_out, m_in in _strands(a, b, weights, shift, socle + spread + 1):
         dims[parity] += len(piece.elements) - linalg.rank(m_out) - linalg.rank(m_in)

@@ -34,6 +34,7 @@ from .mfcore import (
     MatrixFactorization,
     MFMorphism,
     _same_mf,
+    _supertrace,
     equivariance_power_check,
     pullback,
     supertrace_at_origin,
@@ -130,11 +131,7 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
         composite = linalg.mat_mul(derived, composite, ring.zero(), cols=mf.total_rank)
     if (len(fixed) + alpha.parity) % 2:
         return ts.zero()
-    trace = ring.zero()
-    for i in range(mf.r0):
-        trace = trace + composite[i][i]
-    for i in range(mf.r0, mf.total_rank):
-        trace = trace - composite[i][i]
+    trace = _supertrace((row[i] for i, row in enumerate(composite)), mf.parities(), ring.zero())
     restricted = set_variables_to_zero(trace, moving, target_ring=ts.milnor.ring)
     sign = _permutation_sign(moving + fixed)
     return ts.element(restricted * Scalar.from_rational(sign))

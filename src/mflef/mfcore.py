@@ -10,7 +10,8 @@ builds both tensor_morphisms and the operator d1 (x) 1 + 1 (x) d2 of tensor_mf.
 The Hom differential D is stated once, as the image of each unit cochain
 (_d_column), and one slicer (_slice) reads scalar matrices of D off graded
 pieces: homcoh's graded engine uses both, and stabilize_module solves its
-homotopy as D on End(F) with them.
+homotopy as D on End(F) with them.  One even-minus-odd rule (_supertrace)
+serves origin supertraces, lefschetz.boundary_bulk and both Hom engines.
 
 Factorizations and morphisms are immutable, like Polynomial: matrices are
 tuples of tuples and attributes cannot be reassigned.  So what is derived
@@ -507,6 +508,11 @@ def restrict_to_origin(mf: MatrixFactorization) -> OriginComplex:
     return OriginComplex(mf)
 
 
+def _supertrace(diagonal, parities, zero):
+    """The sum of the even diagonal entries minus that of the odd ones, from zero."""
+    return sum((-entry if parity else entry for entry, parity in zip(diagonal, parities)), zero)
+
+
 def supertrace_at_origin(phi: MFMorphism) -> Scalar:
     """str(phi|_0): trace on the even block minus trace on the odd block.
 
@@ -515,12 +521,8 @@ def supertrace_at_origin(phi: MFMorphism) -> Scalar:
     mf = phi.source
     if phi.target.r0 != mf.r0 or phi.target.r1 != mf.r1:
         raise ValueError("supertrace needs equal source and target ranks")
-    total = Scalar.zero()
-    for i in range(mf.r0):
-        total = total + phi.matrix[i][i].constant_term()
-    for i in range(mf.r0, mf.total_rank):
-        total = total - phi.matrix[i][i].constant_term()
-    return total
+    return _supertrace((row[i].constant_term() for i, row in enumerate(phi.matrix)),
+                       mf.parities(), Scalar.zero())
 
 
 # -- the Hom differential on graded pieces ------------------------------------

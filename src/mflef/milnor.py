@@ -89,7 +89,7 @@ class MilnorAlgebra:
 
         if self.weights is not None:
             degree = self.weights.monomial_degree
-            self.socle_degree = sum((1 - 2 * q) for q in self.weights.weights)
+            self.socle_degree = self.weights.socle_degree
             socle = [m for m in self.basis if degree(m) == self.socle_degree]
         else:
             # documented restriction: fall back to the top total degree

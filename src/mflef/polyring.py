@@ -479,13 +479,13 @@ def find_weights(w: Polynomial):
 
 
 class WeightSystem:
-    """Positive weights per variable under which w has total degree `degree`."""
+    """Positive weights q_i per variable under which w has total degree 1; the
+    socle of its Milnor algebra then has degree sum(1 - 2 q_i)."""
 
-    __slots__ = ("weights", "degree")
+    __slots__ = ("weights",)
 
-    def __init__(self, weights, degree=Fraction(1)):
+    def __init__(self, weights):
         object.__setattr__(self, "weights", tuple(Fraction(q) for q in weights))
-        object.__setattr__(self, "degree", Fraction(degree))
 
     def __setattr__(self, *args):
         raise AttributeError("WeightSystem is immutable")
@@ -498,5 +498,9 @@ class WeightSystem:
     def monomial_degree(self, m: Monomial) -> Fraction:
         return sum(q * e for q, e in zip(self.weights, m))
 
+    @property
+    def socle_degree(self) -> Fraction:
+        return sum(1 - 2 * q for q in self.weights)
+
     def __repr__(self):
-        return f"WeightSystem({self.weights}, degree={self.degree})"
+        return f"WeightSystem({self.weights})"

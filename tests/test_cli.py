@@ -409,6 +409,52 @@ def test_unreadable_literal_is_input_error_on_its_line(expr, message, tmp_path, 
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+MF_HEAD = "[potential]\nw = x^2\n[mf]\nname = A\nd0 = { x }\nd1 = { x }\n"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("[module]\nname = M\nvars = x\ndegrees = 0\nrelations = x\n", ["hilbert", "M"],
+     "error: line 5: relations needs a { } block"),
+    (MF_HEAD + "[morphism]\nname = a\nsource = A\ntarget = A\nmat = 1\n", ["milnor", "w"],
+     "error: line 11: mat needs a { } block"),
+    ("[potential]\nname = { w }\nexpr = x^2\n", ["milnor", "w"],
+     "error: line 2: name takes a single value, not a { } block"),
+    ("[potential]\nw = x^2\n[symmetry]\npotential = { w }\nt = zeta(2)^[1]\n", ["milnor", "w"],
+     "error: line 4: potential takes a single value, not a { } block"),
+    (MF_HEAD + "[morphism]\nname = a\nsource = { A }\ntarget = A\nmat = { 1 ; 0 }\n",
+     ["milnor", "w"], "error: line 9: source takes a single value, not a { } block"),
+    ("[potential]\nw = x^2\n[symmetry]\nt = { zeta(2)^[1] }\n", ["milnor", "w"],
+     "error: line 4: t takes a single value, not a { } block"),
+    ("[potential]\nvars = { x }\nw = x^2\n", ["milnor", "w"],
+     "error: line 2: vars takes a single value, not a { } block"),
+    ("[module]\nname = M\nvars = x\ndegrees = { 0 }\n", ["hilbert", "M"],
+     "error: line 4: degrees takes a single value, not a { } block"),
+    ("[potential]\nw = x^2\n[case]\nname = c\ncommand = milnor\nargs = { w }\n", ["milnor", "c"],
+     "error: line 6: args takes a single value, not a { } block"),
+    (MF_HEAD + "grading_even = { 0 }\ngrading_odd = 1/2\n", ["milnor", "w"],
+     "error: line 7: grading_even takes a single value, not a { } block"),
+    ("[potential]\nw = x^2\n[case]\nname = c\ncommand = { milnor }\nargs = w\n", ["milnor", "c"],
+     "error: line 5: command takes a single value, not a { } block"),
+    ("[potential]\nw = { x^2 }\n", ["milnor", "w"],
+     "error: line 2: potential expression cannot be a matrix"),
+], ids=["relations-value", "mat-value", "name-block", "potential-block", "source-block",
+        "free-symmetry-block", "vars-block", "degrees-block", "args-block", "grading-block",
+        "command-block", "expression-block"])
+def test_wrong_value_shape_is_input_error_on_its_line(text, argv, message, tmp_path, capsys):
+    # only d0, d1, mat and relations take a { } block; every other key a single value
+    doc = tmp_path / "bad.mflef"
+    doc.write_text(text)
+    assert _run([*argv, "-i", str(doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_missing_potential_is_named(tmp_path, capsys):
+    doc = tmp_path / "bad.mflef"
+    doc.write_text("[symmetry]\nname = t\nroots = zeta(3)^[1]\n")
+    assert _run(["milnor", "w", "-i", str(doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: line 1: no potential is declared"]
+
+
 def test_internal_check_failure_exits_three(monkeypatch, capsys):
     # a broken invariant inside an engine is neither a verdict (1) nor an
     # input error (2): one `error: internal:` line and exit 3, no traceback

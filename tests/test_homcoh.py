@@ -379,6 +379,16 @@ def test_graded_engine_rejects_a_twist_that_is_not_closed():
         graded_euler_supertrace(a, a, t, alpha, MFMorphism.identity(a))
 
 
+@pytest.mark.parametrize("engine", ["groebner", "graded", "both"])
+def test_lhs_refuses_a_twist_that_is_not_closed_before_either_engine(engine):
+    a = koszul_mf([x2**2, y2**2], [x2, y2], gradings=[Fraction(1, 3)] * 2)
+    t = [RootOfUnity(1, 0)] * 2
+    alpha = MFMorphism.diagonal(a, pullback(t, a), [Scalar.from_rational(c) for c in (1, 2, 1, 1)])
+    with pytest.raises(ValueError, match="alpha and beta must be closed morphisms"):
+        lhs_hlf(a, a, t, alpha, MFMorphism.identity(a), engine=engine)
+    assert a._hom_memo == {}  # no engine recorded the pair
+
+
 def _q(rows):
     return [[Scalar.from_rational(c) for c in row] for row in rows]
 
@@ -495,9 +505,10 @@ def _wide_bound(a, b):
 def _graded_dims(a, b, bound=None):
     """{(P, d): dim H^P_d(Hom(A, B))} over the nonzero pieces of the graded
     engine up to degree bound, the engine's own window if None."""
-    weights, shift = mflef.homcoh._weights_and_shift(a, b)
+    weights, shift, socle, spread = mflef.homcoh._graded_pair(a, b)
     ga, gb = a.grading_list(), b.grading_list()
     dims = {}
+    bound = socle / 2 + spread if bound is None else bound
     for parity, piece, m_out, m_in in mflef.homcoh._strands(a, b, weights, shift, bound):
         dim = len(piece.elements) - linalg.rank(m_out) - linalg.rank(m_in)
         if dim:
@@ -565,9 +576,9 @@ def _count_strands(monkeypatch):
     calls = []
     original = mflef.homcoh._strands
 
-    def counted(a, b, weights, shift):
+    def counted(a, b, weights, shift, bound):
         calls.append((a, b))
-        return original(a, b, weights, shift)
+        return original(a, b, weights, shift, bound)
 
     monkeypatch.setattr(mflef.homcoh, "_strands", counted)
     return calls

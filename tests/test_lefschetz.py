@@ -1,11 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import mflef.lefschetz
-from mflef.homcoh import cohomology, hom_complex
+from mflef.homcoh import cohomology, graded_euler_supertrace, hom_complex
+from mflef.milnor import _coerce_symmetry
 from mflef.scalars import RootOfUnity, Scalar
 from mflef.polyring import PolyRing, scale_substitute
 from mflef.mfcore import (
@@ -580,3 +582,79 @@ def test_reuse_changes_no_verdict_or_printed_value(monkeypatch):
     assert len(calls) == len(fresh)
     assert reused == fresh
     assert all(equal for _, equal in fresh)
+
+
+# -- refusals of the verifiers -------------------------------------------------
+
+
+def _odd_zero(mf, target):
+    return MFMorphism(mf, target, 1, [[R1.zero()] * mf.total_rank] * target.total_rank)
+
+
+def _refusal_cases():
+    """(id, call, error, message) for each refusal; a2 data unless a case needs other input."""
+    mf, t, alpha, beta = a2_data()
+    fixed = [RootOfUnity(1, 0)]
+    odd_alpha, odd_beta = _odd_zero(mf, alpha.target), _odd_zero(beta.source, mf)
+    a1, _, a1_alpha, _ = a1_data()
+    unclosed = MFMorphism.diagonal(mf, alpha.target, [Scalar.one(), Scalar.from_rational(2)])
+    # w = 0 allows ranks (1, 0); the constant 1 is a Z/2-equivariant structure for t = -1
+    lopsided = MatrixFactorization(R1.zero(), [], [[]], r0=1, r1=0)
+    sign = [RootOfUnity(2, 1)]
+    lopsided_alpha = MFMorphism(lopsided, pullback(sign, lopsided), 0, [[R1.one()]])
+    graded = kfac("x", 1, 2)  # (x, x), on which the odd [[0, 1], [-1, 0]] has degree 0
+    graded_odd = MFMorphism(graded, graded, 1, [[R1.zero(), R1.one()], [-R1.one(), R1.zero()]])
+    # unchecked, and no factorization of x^2: its operator has degree 1, not 1/2
+    squares = MatrixFactorization(x**2, [[x**2]], [[x**2]], gradings=([0], [0]), check=False)
+    return [
+        ("trace-identity-fixed-coordinate", lambda: trace_identity_check(mf, fixed, alpha),
+         ValueError, "the trace identity needs t_i != 1 for every coordinate"),
+        ("trace-identity-odd-alpha", lambda: trace_identity_check(mf, t, odd_alpha),
+         ValueError, "alpha must be even"),
+        ("zero-check-odd-alpha", lambda: zero_fixed_locus_check(mf, mf, fixed, odd_alpha, beta),
+         ValueError, "vanishing is stated for even alpha and beta"),
+        ("zero-check-odd-beta", lambda: zero_fixed_locus_check(mf, mf, fixed, alpha, odd_beta),
+         ValueError, "vanishing is stated for even alpha and beta"),
+        ("divisibility-fixed-coordinate", lambda: divisibility_check(mf, fixed, alpha, 3),
+         ValueError, "divisibility needs an isolated fixed point"),
+        ("divisibility-order", lambda: divisibility_check(mf, t, alpha, 2),
+         ValueError, "symmetry must have order dividing p"),
+        ("divisibility-virtual-rank",
+         lambda: divisibility_check(lopsided, sign, lopsided_alpha, 2),
+         ValueError, "virtual rank must vanish"),
+        ("lhs-unknown-engine", lambda: lhs_hlf(mf, mf, t, alpha, beta, engine="nope"),
+         ValueError, "unknown engine 'nope'"),
+        ("boundary-bulk-other-source", lambda: boundary_bulk(a1, t, alpha),
+         ValueError, "alpha must start at the given factorization"),
+        ("boundary-bulk-unclosed", lambda: boundary_bulk(mf, t, unclosed),
+         ValueError, "alpha must be closed"),
+        ("graded-parity-reversing",
+         lambda: graded_euler_supertrace(graded, graded, fixed, graded_odd,
+                                         MFMorphism.identity(graded)),
+         ValueError, "parity-reversing twists have no supertrace"),
+        ("graded-operator-shifts",
+         lambda: graded_euler_supertrace(graded, squares, fixed, MFMorphism.identity(graded),
+                                         MFMorphism.identity(squares)),
+         ValueError, "source and target gradings use different operator shifts"),
+        ("symmetry-entry-2", lambda: _coerce_symmetry([1, 2]),
+         TypeError, "symmetry entries must be roots of unity, got 2"),
+        ("symmetry-entry-fraction", lambda: _coerce_symmetry([Fraction(1)]),
+         TypeError, "symmetry entries must be roots of unity, got Fraction"),
+        ("symmetry-entry-text", lambda: _coerce_symmetry(["-1"]),
+         TypeError, "symmetry entries must be roots of unity, got '-1'"),
+    ]
+
+
+REFUSALS = _refusal_cases()
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_verifier_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_coerce_symmetry_accepts_plus_and_minus_one():
+    assert _coerce_symmetry([1, -1, RootOfUnity(3, 2)]) == (
+        RootOfUnity(1, 0), RootOfUnity(2, 1), RootOfUnity(3, 2))
