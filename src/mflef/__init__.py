@@ -17,9 +17,6 @@ bit.
 from .scalars import (
     RootOfUnity,
     Scalar,
-    cyclo_reduce,
-    conjugate,
-    norm_to_rational,
     one_minus_zeta_valuation,
 )
 from .polyring import (
@@ -37,7 +34,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     free_resolution,
-    lift_through,
     normal_form,
     standard_monomials,
     syzygy_basis,
@@ -49,8 +45,6 @@ from .milnor import (
     TraceSpaceElement,
     canonical_pairing,
     milnor_data,
-    residue,
-    residue_pairing,
     trace_space,
 )
 from .mfcore import (
@@ -58,16 +52,13 @@ from .mfcore import (
     MFMorphism,
     equivariance_power_check,
     koszul_mf,
-    morphism_closed,
     odd_rank11_generator,
     pullback,
-    restrict_to_origin,
     stabilize_module,
     stabilized_diagonal,
     supertrace_at_origin,
     tensor_mf,
     tensor_morphisms,
-    unit_mf,
     validate_mf,
 )
 from .homcoh import (
@@ -105,22 +96,19 @@ from .hilbert import (
 from .document import WorkspaceDocument, parse_document, serialize_document
 
 __all__ = [
-    "RootOfUnity", "Scalar", "cyclo_reduce", "conjugate", "norm_to_rational",
-    "one_minus_zeta_valuation",
+    "RootOfUnity", "Scalar", "one_minus_zeta_valuation",
     "PolyRing", "Polynomial", "WeightSystem", "check_symmetry",
     "difference_quotients", "hessian_determinant", "partial_derivative",
     "scale_substitute",
     "GradedModulePresentation", "GroebnerBasis", "buchberger",
-    "free_resolution", "lift_through", "normal_form", "standard_monomials",
+    "free_resolution", "normal_form", "standard_monomials",
     "syzygy_basis",
     "MilnorAlgebra", "NonIsolatedError", "TraceSpace", "TraceSpaceElement",
-    "canonical_pairing", "milnor_data", "residue", "residue_pairing",
-    "trace_space",
+    "canonical_pairing", "milnor_data", "trace_space",
     "MatrixFactorization", "MFMorphism", "equivariance_power_check",
-    "koszul_mf", "morphism_closed", "odd_rank11_generator", "pullback",
-    "restrict_to_origin", "stabilize_module", "stabilized_diagonal",
-    "supertrace_at_origin", "tensor_mf", "tensor_morphisms", "unit_mf",
-    "validate_mf",
+    "koszul_mf", "odd_rank11_generator", "pullback", "stabilize_module",
+    "stabilized_diagonal", "supertrace_at_origin", "tensor_mf",
+    "tensor_morphisms", "validate_mf",
     "CohomologyBasis", "HomComplex", "cohomology",
     "graded_cohomology_dimensions", "graded_euler_supertrace", "hom_complex",
     "induced_endomorphism", "supertrace_on_cohomology",

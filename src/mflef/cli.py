@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     try:
         doc = parse_document(text)
         lines, reports, ok = run_command(opts.command, opts.names, doc, opts.engine)
-    except ValueError as exc:  # DocumentError, InputError, NonIsolatedError, NotInModuleError
+    except ValueError as exc:  # DocumentError, InputError, NonIsolatedError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError) as exc:

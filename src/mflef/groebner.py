@@ -34,10 +34,6 @@ from .polyring import (
 from .scalars import Scalar
 
 
-class NotInModuleError(ValueError):
-    """A lift was requested for an element outside the submodule."""
-
-
 def term_key(term):
     """Sort key of a (component, monomial) term; the leading term sorts first."""
     comp, mono = term
@@ -147,7 +143,7 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _full_reduce(vec: Vec, gens, leads, with_quotients=False):
+def _full_reduce(vec: Vec, gens, leads):
     """Unique remainder with no term divisible by any generator lead.
 
     The generators must be monic and `leads` must be their lead index (see
@@ -155,7 +151,6 @@ def _full_reduce(vec: Vec, gens, leads, with_quotients=False):
     candidate leading terms; each reduction step touches only the terms of
     one generator.
     """
-    quotients = [dict() for _ in gens] if with_quotients else None
     remainder: dict = {}
     work = dict(vec.terms)
     heap = [(term_key(t), t) for t in work]
@@ -195,18 +190,7 @@ def _full_reduce(vec: Vec, gens, leads, with_quotients=False):
                     del work[tkey]
                 else:
                     work[tkey] = val
-        if with_quotients:
-            q = quotients[idx]
-            s = q.get(qmono)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                q.pop(qmono, None)
-            else:
-                q[qmono] = s
-    rem = Vec(vec.ring, vec.rank, remainder)
-    if with_quotients:
-        return rem, [Polynomial(vec.ring, q) for q in quotients]
-    return rem
+    return Vec(vec.ring, vec.rank, remainder)
 
 
 def _s_vector(gi: Vec, qi: Monomial, gj: Vec, qj: Monomial) -> Vec:
@@ -334,22 +318,6 @@ def normal_form(element, gb: GroebnerBasis):
         return element
     rem = _full_reduce(vec, gb.generators, gb.leads)
     return rem.to_poly() if was_poly else rem
-
-
-def lift_through(targets, gb: GroebnerBasis):
-    """Write each target as a ring-combination of the basis generators.
-
-    Returns one coefficient row (list of Polynomials, aligned with
-    gb.generators) per target; raises NotInModuleError on nonzero remainder.
-    """
-    rows = []
-    for target in targets:
-        vec = _coerce_vec(target, gb.rank)
-        rem, quotients = _full_reduce(vec, gb.generators, gb.leads, with_quotients=True)
-        if not rem.is_zero():
-            raise NotInModuleError(f"{target!r} is not in the submodule")
-        rows.append(quotients)
-    return rows
 
 
 def standard_monomials(gb: GroebnerBasis, nvars=None):
@@ -489,9 +457,6 @@ class FreeResolution:
     @property
     def length(self):
         return len(self.matrices)
-
-    def rank(self, step):
-        return len(self.degrees[step])
 
 
 def _minimize(mat, col_degrees):

@@ -290,11 +290,6 @@ def supertrace_on_cohomology(matrix, parities) -> Scalar:
     return _supertrace((matrix[i][i] for i in range(len(parities))), parities, Scalar.zero())
 
 
-def euler_characteristic(basis: CohomologyBasis) -> int:
-    dims = basis.dims
-    return dims[0] - dims[1]
-
-
 # -- graded Euler engine -------------------------------------------------------
 
 
@@ -317,7 +312,8 @@ def _grading_degree(matrix, weights, grading, error):
 
 def _graded_pair(a, b):
     """The weights of the potential, the odd operator's degree shift shared by
-    A and B, the socle degree sum(1 - 2 q_i) and the range of their gradings.
+    A and B (None if both are zero), the socle degree sum(1 - 2 q_i) and the
+    range of their gradings.
 
     H(Hom(A, B)) sits at degrees up to socle / 2 + spread, the graded engine's
     window: a cochain (a, b, m) has degree wdeg(m) + g_B(a) - g_A(b) >= -spread,
@@ -331,18 +327,19 @@ def _graded_pair(a, b):
     ws = WeightSystem.of(a.potential)
     if ws is None:
         raise ValueError("potential is not quasi-homogeneous")
-    shifts = []
+    shifts = set()
     for mf in (a, b):
         grading = mf.grading_list()
         if grading is None:
             raise ValueError("factorization carries no internal grading")
-        shifts.append(_grading_degree(mf.full_matrix(), ws.weights, grading,
-                                      "operator is not homogeneous for the declared grading"))
-    if shifts[0] != shifts[1]:
+        shifts.add(_grading_degree(mf.full_matrix(), ws.weights, grading,
+                                   "operator is not homogeneous for the declared grading"))
+    shifts.discard(None)  # a zero operator, as of a rank-0 factorization, has every shift
+    if len(shifts) > 1:
         raise ValueError("source and target gradings use different operator shifts")
     gradings = a.grading_list() + b.grading_list()
     spread = (max(gradings) - min(gradings)) if gradings else Fraction(0)
-    return ws.weights, shifts[0], ws.socle_degree, spread
+    return ws.weights, next(iter(shifts), None), ws.socle_degree, spread
 
 
 def _window_degrees(a, b, weights, bound):

@@ -9,7 +9,7 @@ row and sums the term products of each output entry in one dict.
 One reduced-echelon elimination over Q(zeta_m), `_echelon`, serves `rank`,
 `solve`, `nullspace`, `invert`, `det` and `echelon_form`.  Its callers are the
 graded engine's strand traces, the stabilization homotopy solves,
-`find_weights`, `MFMorphism.inverse` and `Scalar.descend`.
+`find_weights` and `MFMorphism.inverse`.
 """
 
 from __future__ import annotations

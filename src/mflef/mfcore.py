@@ -132,20 +132,6 @@ class MatrixFactorization:
             _set(self, "_full", MFMorphism.from_blocks(self, self, 1, self.d0, self.d1).matrix)
         return self._full
 
-    def shift(self):
-        """The parity shift E[1]: swaps the blocks and negates the operator."""
-        gradings = None if self.gradings is None else (self.gradings[1], self.gradings[0])
-        minus = Scalar.from_rational(-1)
-        return MatrixFactorization(
-            self.potential,
-            _poly_mat_scale(self.d1, minus),
-            _poly_mat_scale(self.d0, minus),
-            r0=self.r1,
-            r1=self.r0,
-            gradings=gradings,
-            check=False,
-        )
-
     def __repr__(self):
         return f"MatrixFactorization(w={self.potential}, ranks=({self.r0},{self.r1}))"
 
@@ -282,10 +268,6 @@ class MFMorphism:
                 f"{self.target.total_rank}x{self.source.total_rank})")
 
 
-def morphism_closed(phi: MFMorphism) -> bool:
-    return phi.is_closed()
-
-
 def _same_mf(x, y):
     """Whether two factorizations are one: the same object or an equal matrix."""
     return x is y or x.full_matrix() == y.full_matrix()
@@ -345,12 +327,6 @@ def koszul_mf(a_seq, b_seq, gradings=None) -> MatrixFactorization:
         mf_gradings = (tuple(subset_degree(s) for s in evens),
                        tuple(subset_degree(s) for s in odds))
     return MatrixFactorization(w, d0, d1, gradings=mf_gradings)
-
-
-def unit_mf(ring: PolyRing) -> MatrixFactorization:
-    """Rank-(1,0) unit object of potential 0."""
-    return MatrixFactorization(ring.zero(), [], [[]], r0=1, r1=0,
-                               gradings=((Fraction(0),), ()), check=False)
 
 
 def _merged_ring(r1: PolyRing, r2: PolyRing) -> PolyRing:
@@ -485,27 +461,6 @@ def equivariance_power_check(t, alpha: MFMorphism, p: int) -> bool:
         composite = linalg.mat_mul(twisted, composite, ring.zero(), cols=alpha.source.total_rank)
         power = [a * b for a, b in zip(power, scales)]
     return _frozen(composite) == MFMorphism.identity(alpha.source).matrix
-
-
-class OriginComplex:
-    """The Z/2-graded scalar complex E|_0 with its square-zero odd operator."""
-
-    __slots__ = ("r0", "r1", "delta0")
-
-    def __init__(self, mf: MatrixFactorization):
-        if not mf.potential.constant_term().is_zero():
-            raise ValueError("potential must vanish at the origin")
-        self.r0, self.r1 = mf.r0, mf.r1
-        self.delta0 = [[e.constant_term() for e in row] for row in mf.full_matrix()]
-        if any(not e.is_zero() for row in linalg.mat_mul(self.delta0, self.delta0) for e in row):
-            raise ValueError(
-                "restriction to the origin does not square to zero; "
-                "the potential has terms outside the square of the maximal ideal"
-            )
-
-
-def restrict_to_origin(mf: MatrixFactorization) -> OriginComplex:
-    return OriginComplex(mf)
 
 
 def _supertrace(diagonal, parities, zero):

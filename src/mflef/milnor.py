@@ -139,23 +139,13 @@ def milnor_data(w: Polynomial) -> MilnorAlgebra:
     return MilnorAlgebra(w)
 
 
-def residue(algebra: MilnorAlgebra, f: Polynomial) -> Scalar:
-    return algebra.residue(f)
-
-
-def residue_pairing(algebra: MilnorAlgebra, f: Polynomial, g: Polynomial) -> Scalar:
-    return algebra.residue_pairing(f, g)
-
-
 def _coerce_symmetry(t) -> tuple:
     out = []
     for item in t:
         if isinstance(item, RootOfUnity):
             out.append(item)
-        elif isinstance(item, int) and item == 1:
-            out.append(RootOfUnity(1, 0))
-        elif isinstance(item, int) and item == -1:
-            out.append(RootOfUnity(2, 1))
+        elif type(item) is int and item in (1, -1):  # not a bool: True is no root
+            out.append(RootOfUnity(1, 0) if item == 1 else RootOfUnity(2, 1))
         else:
             raise TypeError(f"symmetry entries must be roots of unity, got {item!r}")
     return tuple(out)

@@ -216,9 +216,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar, RootOfUnity)):
             c = as_scalar(other)
@@ -263,10 +260,6 @@ class Polynomial:
         if self.terms.keys() != other.terms.keys():
             return False
         return all(c == other.terms[m] for m, c in self.terms.items())
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return NotImplemented if result is NotImplemented else not result
 
     __hash__ = None
 

@@ -9,7 +9,7 @@ equality within one order compares tuples.  Phi_m is monic and integral, so
 all arithmetic runs on Python ints; the Fraction coordinates ``coeffs`` are
 derived on request.  Order m = 1 is the rational field.  Arithmetic between
 two scalars first embeds both into Q(zeta_L) with L = lcm of the two orders;
-results keep order L (no automatic descent, see :meth:`Scalar.descend`).
+results keep order L (no automatic descent).
 Every exact value (scalar, polynomial, chi polynomial) prints through one
 term rule, :func:`format_sum`, with powers printed by :func:`power_text`.
 """
@@ -275,22 +275,6 @@ class Scalar:
             raise ValueError("target order must be a multiple of the current order")
         return _scalar(L, _embed(self.num, m, L), self.den)
 
-    def descend(self) -> Scalar:
-        """Equal scalar of the smallest possible cyclotomic order.
-
-        This is the explicit normalization pass; arithmetic never descends.
-        """
-        if self.is_rational():
-            return _scalar(1, self.num[:1], self.den)
-        m = self.order
-        for d in range(2, m):
-            if m % d:
-                continue
-            cand = _try_descend(self, d)
-            if cand is not None:
-                return cand
-        return self
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -364,12 +348,6 @@ class Scalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
@@ -393,10 +371,6 @@ class Scalar:
         L = math.lcm(m, n)
         a, b = _embed(self.num, m, L), _embed(other.num, n, L)
         return [x * other.den for x in a] == [y * self.den for y in b]
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return NotImplemented if result is NotImplemented else not result
 
     def __bool__(self):
         return any(self.num)
@@ -453,20 +427,6 @@ def _zeta(m: int, k: int) -> Scalar:
     return _scalar(m, _reduce(out, m))
 
 
-def _try_descend(a: Scalar, d: int) -> Scalar | None:
-    # Coordinates of `a` in the power basis of zeta_d inside Q(zeta_m), if any.
-    from .linalg import solve  # linalg is built on this module
-
-    m = a.order
-    phi_d, phi_m = euler_phi(d), euler_phi(m)
-    basis = [Scalar.zeta(d, i).promote(m).num for i in range(phi_d)]
-    rows = [[_scalar(1, (basis[j][i],)) for j in range(phi_d)] for i in range(phi_m)]
-    coords = solve(rows, [_scalar(1, (c,), a.den) for c in a.num])
-    if coords is None:
-        return None  # inconsistent: not in the subfield
-    return Scalar(d, tuple(c.to_rational() for c in coords))
-
-
 _ZERO = _scalar(1, (0,))
 _ONE = _scalar(1, (1,))
 
@@ -490,22 +450,6 @@ def power_product(scales, mono) -> Scalar:
             p = Scalar.zeta(t.order, t.exponent * e) if isinstance(t, RootOfUnity) else as_scalar(t) ** e
             factor = p if factor is None else factor * p
     return _ONE if factor is None else factor
-
-
-def cyclo_reduce(coefficients, m: int) -> Scalar:
-    """Canonical Scalar from an exponent-indexed coefficient sequence in zeta_m."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    num, den = _integer_form(list(coefficients))
-    return _scalar(m, _reduce(num, m), den)
-
-
-def conjugate(a: Scalar) -> Scalar:
-    return as_scalar(a).conjugate()
-
-
-def norm_to_rational(a: Scalar) -> Fraction:
-    return as_scalar(a).norm_to_rational()
 
 
 def _require_prime(p: int):

@@ -7,11 +7,9 @@ from mflef.polyring import PolyRing, degrevlex_key
 from mflef.groebner import (
     GradedModulePresentation,
     GroebnerBasis,
-    NotInModuleError,
     Vec,
     buchberger,
     free_resolution,
-    lift_through,
     normal_form,
     standard_monomials,
     syzygy_basis,
@@ -239,27 +237,6 @@ def test_syzygies_generate_the_cocycles_of_koszul_hom_complexes(degrees, a, b):
         assert_syzygy_generators(d)
 
 
-def test_lift_through_examples():
-    x = R1.var("x")
-    gb = buchberger([x**2])
-    [row] = lift_through([x**3], gb)
-    assert row[0] == x
-
-    [zrow] = lift_through([R1.zero()], gb)
-    assert zrow[0].is_zero()
-
-    x2, y2 = R2.var("x"), R2.var("y")
-    gb2 = buchberger([x2**2, x2 * y2])
-    [row] = lift_through([x2**2 * y2], gb2)
-    rebuilt = R2.zero()
-    for coeff, gen in zip(row, gb2.generators):
-        rebuilt = rebuilt + coeff * gen.to_poly()
-    assert rebuilt == x2**2 * y2
-
-    with pytest.raises(NotInModuleError):
-        lift_through([x2 + 1], gb2)
-
-
 def test_free_resolution_koszul():
     x = R1.var("x")
     pres = GradedModulePresentation.cyclic(R1, [x])
@@ -373,7 +350,6 @@ def test_lead_index_lists_each_generator_once(monkeypatch):
         monkeypatch.setattr(Vec, "lead", counted_lead)
         element = [x**3 + y * z, z**3] if gb.rank == 2 else [x**3 * y]
         normal_form(Vec.from_column(element), gb)
-        lift_through([gb.generators[0]], gb)
         monkeypatch.setattr(Vec, "lead", lead)
         assert calls == []
 
@@ -391,8 +367,8 @@ def test_pair_criteria_cut_the_reductions_of_a_hom_complex(monkeypatch):
     full_reduce = groebner._full_reduce
     counts = {"reductions": 0, "zero": 0}
 
-    def counted(vec, gens, leads, with_quotients=False):
-        remainder = full_reduce(vec, gens, leads, with_quotients)
+    def counted(vec, gens, leads):
+        remainder = full_reduce(vec, gens, leads)
         caller = sys._getframe(1)
         # the S-vector loop reduces by the growing basis `gb`; the final
         # inter-reduction reduces tails by the kept generators
@@ -420,8 +396,8 @@ def test_schreyer_syzygies_cut_the_reductions_of_a_hom_complex(monkeypatch):
     full_reduce = groebner._full_reduce
     counts = {"reductions": 0, "zero": 0}
 
-    def counted(vec, gens, leads, with_quotients=False):
-        remainder = full_reduce(vec, gens, leads, with_quotients)
+    def counted(vec, gens, leads):
+        remainder = full_reduce(vec, gens, leads)
         caller = sys._getframe(1)
         if caller.f_code.co_name == "buchberger" and leads is caller.f_locals["gb"].leads:
             counts["reductions"] += 1

@@ -642,6 +642,8 @@ def _refusal_cases():
          TypeError, "symmetry entries must be roots of unity, got Fraction"),
         ("symmetry-entry-text", lambda: _coerce_symmetry(["-1"]),
          TypeError, "symmetry entries must be roots of unity, got '-1'"),
+        ("symmetry-entry-bool", lambda: _coerce_symmetry([True]),
+         TypeError, "symmetry entries must be roots of unity, got True"),
     ]
 
 

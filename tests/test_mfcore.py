@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mflef.scalars import RootOfUnity, Scalar
-from mflef.polyring import PolyRing
+from mflef.polyring import PolyRing, WeightSystem
 from mflef.groebner import GradedModulePresentation
 from mflef.mfcore import (
     MatrixFactorization,
@@ -14,14 +14,11 @@ from mflef.mfcore import (
     MFValidationError,
     equivariance_power_check,
     koszul_mf,
-    morphism_closed,
     pullback,
-    restrict_to_origin,
     stabilize_module,
     stabilized_diagonal,
     supertrace_at_origin,
     tensor_mf,
-    unit_mf,
     validate_mf,
 )
 
@@ -92,7 +89,9 @@ def test_tensor_matches_koszul():
 
 def test_tensor_with_unit():
     a = rank11(x, x**2)
-    u = unit_mf(R1)
+    # the unit object: rank (1, 0) of potential 0
+    u = MatrixFactorization(R1.zero(), [], [[]], r0=1, r1=0,
+                            gradings=((Fraction(0),), ()), check=False)
     prod = tensor_mf(a, u)
     assert (prod.r0, prod.r1) == (a.r0, a.r1)
     assert prod.potential == a.potential
@@ -160,17 +159,17 @@ def test_stabilized_diagonal_examples():
 
 def test_morphism_closed_examples():
     mf = rank11(x, x)
-    assert morphism_closed(MFMorphism.identity(mf))
+    assert MFMorphism.identity(mf).is_closed()
 
     mf2 = rank11(x, x**2)
     z = RootOfUnity(3, 1)
     target = pullback([z], mf2)
     alpha = MFMorphism.diagonal(mf2, target, [Scalar.one(), Scalar.zeta(3)])
-    assert morphism_closed(alpha)
+    assert alpha.is_closed()
 
     minus = pullback([-1], mf)
     bad = MFMorphism.diagonal(mf, minus, [Scalar.one(), Scalar.one()])
-    assert not morphism_closed(bad)
+    assert not bad.is_closed()
 
 
 def test_equivariance_power_check_examples():
@@ -200,12 +199,6 @@ def test_supertrace_at_origin_examples():
     z = RootOfUnity(3, 1)
     alpha2 = MFMorphism.diagonal(mf2, pullback([z], mf2), [Scalar.one(), Scalar.zeta(3)])
     assert supertrace_at_origin(alpha2) == 1 - Scalar.zeta(3)
-
-
-def test_restrict_to_origin():
-    oc = restrict_to_origin(rank11(x, x))
-    assert (oc.r0, oc.r1) == (1, 1)
-    assert all(c.is_zero() for row in oc.delta0 for c in row)
 
 
 def test_supertrace_kills_coboundaries():
@@ -351,10 +344,14 @@ def test_frozen_values_copy_and_pickle(value):
 
 
 def test_factorizations_and_morphisms_are_immutable():
+    # and the exact values they are built of: every frozen class refuses assignment
     alpha = _twisted_identity()
     mf = alpha.source
+    weights = WeightSystem((Fraction(1, 3), Fraction(2, 3)))
     for obj, name in ((mf, "d0"), (mf, "d1"), (mf, "gradings"), (alpha, "matrix"),
-                      (alpha, "parity"), (alpha, "source")):
+                      (alpha, "parity"), (alpha, "source"), (Scalar.zeta(5), "num"),
+                      (RootOfUnity(6, 5), "exponent"), (R2, "vars"), (x**3, "terms"),
+                      (weights, "weights")):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(obj, name, getattr(obj, name))
     with pytest.raises(TypeError):
@@ -426,13 +423,6 @@ def test_stabilize_refuses_a_residual_outside_the_graded_piece(monkeypatch):
     monkeypatch.setattr(mfcore, "free_resolution", lambda pres: fake)
     with pytest.raises(AssertionError, match="graded homotopy solve is singular"):
         stabilize_module(GradedModulePresentation.cyclic(R1, [x]), x**2)
-
-
-def test_shift_swaps_parities():
-    mf = rank11(x, x**2)
-    sh = mf.shift()
-    validate_mf(sh)
-    assert (sh.r0, sh.r1) == (mf.r1, mf.r0)
 
 
 def test_stabilize_random_monomial_quotients():

@@ -8,7 +8,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from mflef.scalars import Scalar, cyclo_reduce, cyclotomic_polynomial, euler_phi  # noqa: E402
+from mflef.scalars import (  # noqa: E402
+    Scalar, _integer_form, _reduce, _scalar, cyclotomic_polynomial, euler_phi)
 
 ORDERS = (1, 2, 3, 4, 5, 6, 7, 12)
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -50,9 +51,6 @@ def test_inverse(a):
 @given(scalars(), st.sampled_from((1, 2, 3, 4)))
 def test_promote_and_descend_keep_the_value(a, step):
     assert a == a.promote(a.order * step)
-    assert a.promote(a.order * step).descend() == a
-    assert a.descend() == a
-    assert a.descend().order <= a.order
 
 
 @SETTINGS
@@ -68,7 +66,8 @@ def test_canonical_form(a, b):
     unreduced = [0] * a.order + list(a.coeffs)
     for k, c in enumerate(cyclotomic_polynomial(a.order)):
         unreduced[k] += c
-    assert str(cyclo_reduce(unreduced, a.order)) == str(a)
+    num, den = _integer_form(unreduced)
+    assert str(_scalar(a.order, _reduce(num, a.order), den)) == str(a)
 
 
 @SETTINGS

@@ -10,7 +10,6 @@ from mflef.scalars import (
     NonIntegralError,
     RootOfUnity,
     Scalar,
-    cyclo_reduce,
     cyclotomic_polynomial,
     euler_phi,
     one_minus_zeta_valuation,
@@ -44,15 +43,6 @@ def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
                         out[i + j] += p * q
                 product = out
         assert product == [-1] + [0] * (m - 1) + [1]
-
-
-def test_cyclo_reduce_examples():
-    # zeta_4^2 = -1 since Phi_4 = x^2 + 1
-    assert cyclo_reduce([0, 0, 1], 4) == Scalar.from_rational(-1)
-    # 1 + zeta_3 + zeta_3^2 = 0
-    assert cyclo_reduce([1, 1, 1], 3).is_zero()
-    # rational passthrough
-    assert cyclo_reduce([Fraction(7, 2)], 1) == Fraction(7, 2)
 
 
 def test_conjugate_examples():
@@ -162,13 +152,6 @@ def test_power_basis_reduction_is_canonical():
     a = zeta(4) * zeta(4)
     assert a.order == 4
     assert a.is_rational() and a.to_rational() == -1
-
-
-def test_descend():
-    a = zeta(12, 4)  # equals zeta_3
-    d = a.descend()
-    assert d.order == 3 and d == zeta(3)
-    assert (zeta(5) + 1 - zeta(5)).descend().order == 1
 
 
 def test_promotion_respects_arithmetic():
