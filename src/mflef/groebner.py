@@ -14,12 +14,27 @@ change how many S-vectors are reduced, never the reduced basis, which is
 unique.
 All pair selection and reduction choices are deterministic, so reduced bases
 and everything derived from them are reproducible bit for bit.
+
+Coefficients run on one of two kernels, chosen once per call.  When every
+input coefficient is an order-1 Scalar (a rational), `buchberger` runs on
+Python ints: each vector is kept primitive (content removed), S-vectors
+scale by the cofactors of the two leads' gcd, and reduction scales the work
+by pseudo-division (Bareiss, Math. Comp. 22, 1968), so no gcd or inverse is
+taken per coefficient; generators become monic order-1 Scalars only in the
+result.  `normal_form` of a rational element by a rational basis runs the
+same way.  Any coefficient of higher order, an order-2 rational included,
+keeps the whole call on Scalars, so every result keeps the orders it has on
+Scalars.  The int kernel cannot change a result: its work is at every step
+a nonzero multiple of the Scalar kernel's, so it takes the same steps, and
+a reduced monic basis and a remainder divided back by its factor are
+unique.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 from .polyring import (
     Monomial,
@@ -31,7 +46,7 @@ from .polyring import (
     monomial_lcm,
     monomial_mul,
 )
-from .scalars import Scalar
+from .scalars import Scalar, _scalar
 
 
 def term_key(term):
@@ -113,7 +128,8 @@ def _coerce_vec(element, rank=None):
 class GroebnerBasis:
     """A Groebner basis of a submodule of R^rank (R^1 = ideal case).
 
-    Every generator is monic, so reduction never divides by a lead.  `leads`
+    Every generator is monic, so reduction never divides by a lead (only
+    the int run inside `buchberger` holds primitive int ones).  `leads`
     is the lead index: it maps each component to the (lead monomial,
     generator index) pairs of the generators leading in that component, in
     generator order.  It is built once, as generators are appended, and
@@ -128,13 +144,12 @@ class GroebnerBasis:
         self.generators = []
         self.leads = {}
         for g in generators:
-            self.append(g)
+            if g.terms[self.append(g)] != 1:
+                raise ValueError("Groebner basis generators must be monic")
 
     def append(self, g):
-        """Add a monic generator and index it; returns its lead (component, monomial)."""
+        """Add a generator and index it; returns its lead (component, monomial)."""
         lead = g.lead()
-        if g.terms[lead] != 1:
-            raise ValueError("Groebner basis generators must be monic")
         self.leads.setdefault(lead[0], []).append((lead[1], len(self.generators)))
         self.generators.append(g)
         return lead
@@ -143,67 +158,110 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _full_reduce(vec: Vec, gens, leads):
-    """Unique remainder with no term divisible by any generator lead.
+def _rational(terms):
+    """True when every coefficient of a term dict is an order-1 Scalar."""
+    return all(c.order == 1 for c in terms.values())
 
-    The generators must be monic and `leads` must be their lead index (see
-    `GroebnerBasis`).  Works on a mutable term dict with a lazy heap of
-    candidate leading terms; each reduction step touches only the terms of
-    one generator.
+
+def _integral(terms):
+    """(den, ints): den times an order-1 term dict, den the lcm of its denominators."""
+    den = math.lcm(*(c.den for c in terms.values()))
+    return den, {t: c.num[0] * (den // c.den) for t, c in terms.items()}
+
+
+def _primitive(vec):
+    """An int vector divided by the gcd of its coefficients."""
+    g = math.gcd(*vec.terms.values())
+    if g == 1:
+        return vec
+    return Vec(vec.ring, vec.rank, {t: c // g for t, c in vec.terms.items()})
+
+
+def _over(terms, den):
+    """The order-1 Scalar term dict of int terms divided by a nonzero int den."""
+    if den < 0:
+        return {t: _scalar(1, (-c,), -den) for t, c in terms.items()}
+    return {t: _scalar(1, (c,), den) for t, c in terms.items()}
+
+
+def _full_reduce(vec: Vec, gens, leads):
+    """Unique remainder with no term divisible by any generator lead, and the
+    factor by which the input was scaled to reach it.
+
+    `leads` must be the lead index of the generators (see `GroebnerBasis`).
+    Over Scalars the generators are monic and the factor is 1.  Over Python
+    ints a generator with lead c reduces a term a by pseudo-division: the
+    work is scaled by |c| / gcd(a, c), never divided, so every coefficient
+    stays an integer (Bareiss), and the factor is positive.  The int work is
+    at every step the factor times the Scalar work, so both kernels take the
+    same steps.
+    Works on a mutable term dict with a lazy heap of candidate leading
+    terms; each reduction step touches only the terms of one generator.
     """
     remainder: dict = {}
     work = dict(vec.terms)
+    scale = 1
     heap = [(term_key(t), t) for t in work]
     heapq.heapify(heap)
     while heap:
         comp, mono = term = heapq.heappop(heap)[1]
-        coeff = work.get(term)
+        coeff = work.pop(term, None)
         if coeff is None:
             continue  # stale heap entry
-        reducer = None
         for lead_mono, idx in leads.get(comp, ()):
             if monomial_divides(lead_mono, mono):
-                reducer = (lead_mono, idx)
                 break
-        if reducer is None:
+        else:
             remainder[term] = coeff
-            del work[term]
             continue
-        lead_mono, idx = reducer
         g = gens[idx]
         lead_key = (comp, lead_mono)
+        lead_coeff = g.terms[lead_key]
+        if lead_coeff.__class__ is int and lead_coeff != 1:
+            d = math.gcd(coeff, lead_coeff)
+            coeff //= d if lead_coeff > 0 else -d
+            factor = abs(lead_coeff) // d
+            if factor != 1:
+                scale *= factor
+                for t in work:
+                    work[t] *= factor
+                for t in remainder:
+                    remainder[t] *= factor
         qmono = monomial_div(mono, lead_mono)
-        del work[term]
         for (gc, gm), gcoef in g.terms.items():
             if (gc, gm) == lead_key:
                 continue  # the lead cancels exactly
             tkey = (gc, monomial_mul(gm, qmono))
             old = work.get(tkey)
             if old is None:
-                val = -(coeff * gcoef)
-                if not val.is_zero():
-                    work[tkey] = val
-                    heapq.heappush(heap, (term_key(tkey), tkey))
+                work[tkey] = -(coeff * gcoef)
+                heapq.heappush(heap, (term_key(tkey), tkey))
             else:
                 val = old - coeff * gcoef
-                if val.is_zero():
-                    del work[tkey]
-                else:
+                if val:
                     work[tkey] = val
-    return Vec(vec.ring, vec.rank, remainder)
+                else:
+                    del work[tkey]
+    return Vec(vec.ring, vec.rank, remainder), scale
 
 
-def _s_vector(gi: Vec, qi: Monomial, gj: Vec, qj: Monomial) -> Vec:
-    """qi * gi - qj * gj for monic gi, gj; their leads cancel."""
-    terms = {(comp, monomial_mul(m, qi)): c for (comp, m), c in gi.terms.items()}
+def _s_vector(gi: Vec, qi: Monomial, ci, gj: Vec, qj: Monomial, cj) -> Vec:
+    """ci * qi * gi - cj * qj * gj, with factors that cancel the leads: 1 and 1
+    for monic Scalar generators, the cofactors of the leads' gcd over ints."""
+    if ci == 1:
+        terms = {(comp, monomial_mul(m, qi)): c for (comp, m), c in gi.terms.items()}
+    else:
+        terms = {(comp, monomial_mul(m, qi)): c * ci for (comp, m), c in gi.terms.items()}
     for (comp, m), c in gj.terms.items():
         key = (comp, monomial_mul(m, qj))
+        if cj != 1:
+            c *= cj
         old = terms.pop(key, None)
         if old is None:
             terms[key] = -c
         else:
             diff = old - c
-            if not diff.is_zero():
+            if diff:
                 terms[key] = diff
     return Vec(gi.ring, gi.rank, terms)
 
@@ -223,6 +281,9 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
     pairs kept, so the loop still ends with a Groebner basis of the same
     submodule.  The reduced basis of a submodule is unique, so the criteria
     change only how many S-vectors are reduced, never the result.
+    When every input coefficient is rational of order 1, the whole run is on
+    primitive int vectors, made monic only in the result (see the module
+    docstring).
     `_syzygies_from` is for `syzygy_basis` alone: see there.
     """
     items = [_coerce_vec(g, rank) for g in generators]
@@ -233,6 +294,9 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
         return GroebnerBasis(None, rank, [])
     ring = items[0].ring
     rank = items[0].rank
+    ints = all(_rational(v.terms) for v in items)
+    if ints:
+        items = [Vec(ring, rank, _integral(v.terms)[1]) for v in items]
     block = rank if _syzygies_from is None else _syzygies_from
     gb = GroebnerBasis(ring, rank, [])
     pairs: list = []  # heap of (lcm key, push count, component)
@@ -240,9 +304,9 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
     pushes = itertools.count()
 
     def add(v):
-        """Append v monic and update the pairs by the criteria above."""
+        """Append v, primitive or monic, and update the pairs by the criteria above."""
         new = len(gb)
-        comp, mono = gb.append(v.monic())
+        comp, mono = gb.append(_primitive(v) if ints else v.monic())
         if comp >= block:
             return
         live = queued.setdefault(comp, {})
@@ -277,9 +341,14 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
         if pair is None:
             continue  # dropped by the chain criterion
         lcm, mono_i, i, mono_j, j = pair
-        gens = gb.generators
-        s = _s_vector(gens[i], monomial_div(lcm, mono_i), gens[j], monomial_div(lcm, mono_j))
-        rem = _full_reduce(s, gens, gb.leads)
+        gi, gj = gb.generators[i], gb.generators[j]
+        ci = cj = 1
+        if ints:
+            ci, cj = gi.terms[(comp, mono_i)], gj.terms[(comp, mono_j)]
+            d = math.gcd(ci, cj)
+            ci, cj = cj // d, ci // d
+        s = _s_vector(gi, monomial_div(lcm, mono_i), ci, gj, monomial_div(lcm, mono_j), cj)
+        rem = _full_reduce(s, gb.generators, gb.leads)[0]
         if not rem.is_zero():
             add(rem)
 
@@ -288,35 +357,46 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
     # syzygy_basis, keep the syzygies alone), then reduce each tail by the
     # kept generators.  Every tail term, and every term its reduction
     # produces, lies below the generator's own lead, so the generator cannot
-    # reduce itself and one shared index serves all.
-    kept = GroebnerBasis(ring, rank, [
-        gb.generators[i]
-        for comp, entries in gb.leads.items()
-        for mono, i in entries
-        if comp >= block or (_syzygies_from is None and not any(
-            j != i and monomial_divides(other, mono) and (other != mono or j < i)
-            for other, j in entries
-        ))
-    ])
+    # reduce itself and one shared index serves all.  An int tail comes back
+    # scaled by some factor, so its lead is that factor times the old one.
+    kept = GroebnerBasis(ring, rank, [])
+    for comp, entries in gb.leads.items():
+        for mono, i in entries:
+            if comp >= block or (_syzygies_from is None and not any(
+                j != i and monomial_divides(other, mono) and (other != mono or j < i)
+                for other, j in entries
+            )):
+                kept.append(gb.generators[i])
     reduced = []
     for comp, entries in kept.leads.items():
         for mono, i in entries:
             lead = (comp, mono)
-            tail = {t: c for t, c in kept.generators[i].terms.items() if t != lead}
-            g = _full_reduce(Vec(ring, rank, tail), kept.generators, kept.leads)
-            g.terms[lead] = Scalar.one()
-            reduced.append((term_key(lead), g))
+            g = kept.generators[i]
+            tail = {t: c for t, c in g.terms.items() if t != lead}
+            rem, scale = _full_reduce(Vec(ring, rank, tail), kept.generators, kept.leads)
+            if ints:
+                rem.terms = _over(rem.terms, g.terms[lead] * scale)
+            rem.terms[lead] = Scalar.one()
+            reduced.append((term_key(lead), rem))
     reduced.sort(key=lambda entry: entry[0])
     return GroebnerBasis(ring, rank, [g for _, g in reduced])
 
 
 def normal_form(element, gb: GroebnerBasis):
-    """Remainder modulo the basis; idempotent and scalar-linear."""
+    """Remainder modulo the basis; idempotent and scalar-linear.  A rational
+    element reduces by a rational basis on ints, as in `buchberger`."""
     was_poly = isinstance(element, Polynomial)
     vec = _coerce_vec(element, gb.rank)
     if not gb.generators:
         return element
-    rem = _full_reduce(vec, gb.generators, gb.leads)
+    gens = gb.generators
+    if vec.terms and _rational(vec.terms) and all(_rational(g.terms) for g in gens):
+        den, terms = _integral(vec.terms)
+        gens = [Vec(g.ring, g.rank, _integral(g.terms)[1]) for g in gens]
+        rem, scale = _full_reduce(Vec(vec.ring, vec.rank, terms), gens, gb.leads)
+        rem.terms = _over(rem.terms, den * scale)
+    else:
+        rem = _full_reduce(vec, gens, gb.leads)[0]
     return rem.to_poly() if was_poly else rem
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, le, sub
 
 from .linalg import echelon_form
 from .scalars import RootOfUnity, Scalar, as_scalar, format_sum, power_product, power_text
@@ -81,19 +82,19 @@ class PolyRing:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def degrevlex_key(m: Monomial):
@@ -424,8 +425,7 @@ def polynomial_matrix_determinant(rows: list[list[Polynomial]]) -> Polynomial:
             entry = rows[i][j]
             if entry.is_zero():
                 continue
-            sub = minor_det(row_ids[1:], col_ids[:pos] + col_ids[pos + 1 :])
-            term = entry * sub
+            term = entry * minor_det(row_ids[1:], col_ids[:pos] + col_ids[pos + 1 :])
             total = total + term if pos % 2 == 0 else total - term
         return total
 
@@ -482,6 +482,9 @@ class WeightSystem:
 
     def __setattr__(self, *args):
         raise AttributeError("WeightSystem is immutable")
+
+    def __reduce__(self):
+        return WeightSystem, (self.weights,)
 
     @staticmethod
     def of(w: Polynomial) -> "WeightSystem | None":

@@ -354,62 +354,58 @@ def test_lead_index_lists_each_generator_once(monkeypatch):
         assert calls == []
 
 
-def test_pair_criteria_cut_the_reductions_of_a_hom_complex(monkeypatch):
-    # Hom(A, B) of two Koszul factorizations of x^2 + y^2 + z^3: without
-    # pair criteria buchberger reduced 392 S-vectors here, 240 of them to
-    # zero; the Gebauer-Moeller update leaves 222 and 72
+def _count_s_vector_reductions(monkeypatch):
+    """Counts of the S-vectors `buchberger` reduces, of those that reduce to
+    zero, and the coefficient types they were reduced over.  Both kernels
+    reduce through `_full_reduce`; the S-vector loop reduces by the growing
+    basis `gb`, the final inter-reduction tails by the kept generators."""
     from mflef import groebner
-    from mflef.homcoh import cohomology, hom_complex
-    from mflef.mfcore import koszul_mf
 
-    R3 = PolyRing(("x", "y", "z"))
-    x, y, z = (R3.var(v) for v in ("x", "y", "z"))
     full_reduce = groebner._full_reduce
-    counts = {"reductions": 0, "zero": 0}
+    counts = {"reductions": 0, "zero": 0, "types": set()}
 
     def counted(vec, gens, leads):
-        remainder = full_reduce(vec, gens, leads)
+        result = full_reduce(vec, gens, leads)
         caller = sys._getframe(1)
-        # the S-vector loop reduces by the growing basis `gb`; the final
-        # inter-reduction reduces tails by the kept generators
         if caller.f_code.co_name == "buchberger" and leads is caller.f_locals["gb"].leads:
             counts["reductions"] += 1
-            counts["zero"] += remainder.is_zero()
-        return remainder
+            counts["zero"] += result[0].is_zero()
+            counts["types"].update(type(c) for c in vec.terms.values())
+        return result
 
     monkeypatch.setattr(groebner, "_full_reduce", counted)
+    return counts
+
+
+def _koszul_hom_cohomology():
+    """H(Hom(A, B)) of two Koszul factorizations of x^2 + y^2 + z^3."""
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(v) for v in ("x", "y", "z"))
     a = koszul_mf([x, y, z], [x, y, z**2])
     b = koszul_mf([x, y, z**2], [x, y, z])
-    assert cohomology(hom_complex(a, b)).dims == (4, 4)
-    assert counts["reductions"] <= 222
+    return cohomology(hom_complex(a, b))
+
+
+def test_pair_criteria_cut_the_reductions_of_a_hom_complex(monkeypatch):
+    # without pair criteria buchberger reduced 392 S-vectors here, 240 of
+    # them to zero; the Gebauer-Moeller update leaves 222 and 72.  The
+    # complex is rational, so they are reduced on ints
+    counts = _count_s_vector_reductions(monkeypatch)
+    assert _koszul_hom_cohomology().dims == (4, 4)
+    assert 0 < counts["reductions"] <= 222
     assert counts["zero"] <= 72
+    assert counts["types"] == {int}
 
 
 def test_schreyer_syzygies_cut_the_reductions_of_a_hom_complex(monkeypatch):
     # The Hom complex above: with S-pairs formed among syzygies too, the
     # kernel steps left 222 reductions, 72 to zero; read off the S-pair
     # reductions of the columns alone they leave 188 and 50
-    from mflef import groebner
-
-    R3 = PolyRing(("x", "y", "z"))
-    x, y, z = (R3.var(v) for v in ("x", "y", "z"))
-    full_reduce = groebner._full_reduce
-    counts = {"reductions": 0, "zero": 0}
-
-    def counted(vec, gens, leads):
-        remainder = full_reduce(vec, gens, leads)
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "buchberger" and leads is caller.f_locals["gb"].leads:
-            counts["reductions"] += 1
-            counts["zero"] += remainder.is_zero()
-        return remainder
-
-    monkeypatch.setattr(groebner, "_full_reduce", counted)
-    a = koszul_mf([x, y, z], [x, y, z**2])
-    b = koszul_mf([x, y, z**2], [x, y, z])
-    assert cohomology(hom_complex(a, b)).dims == (4, 4)
-    assert counts["reductions"] <= 188
+    counts = _count_s_vector_reductions(monkeypatch)
+    assert _koszul_hom_cohomology().dims == (4, 4)
+    assert 0 < counts["reductions"] <= 188
     assert counts["zero"] <= 50
+    assert counts["types"] == {int}
 
 
 def _without_columns(pres, dropped):

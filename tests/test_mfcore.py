@@ -319,6 +319,8 @@ def _value_key(value):
         return (value.ring, value.potential, value.r0, value.r1, value.d0, value.d1, value.gradings)
     if isinstance(value, MFMorphism):
         return (_value_key(value.source), _value_key(value.target), value.parity, value.matrix)
+    if isinstance(value, WeightSystem):
+        return value.weights
     return value
 
 
@@ -337,7 +339,8 @@ def _twisted_identity():
     koszul_mf([R2.var("x") ** 2, R2.var("y")], [R2.var("x"), R2.var("y") ** 2],
               gradings=[Fraction(1, 3), Fraction(2, 3)]),
     _twisted_identity(),
-], ids=["scalar", "root-of-unity", "ring", "polynomial", "koszul-mf", "morphism"])
+    WeightSystem((Fraction(1, 3), Fraction(2, 3))),
+], ids=["scalar", "root-of-unity", "ring", "polynomial", "koszul-mf", "morphism", "weights"])
 def test_frozen_values_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert _value_key(twin) == _value_key(value)
