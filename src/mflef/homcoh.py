@@ -17,9 +17,11 @@ They are independent; the corpus runner cross-checks them.  Both read D off
 one rule, the image of each unit cochain e_ij (mfcore._d_column).  The
 graded engine states its twist the same way: x^m e_ij maps to t^m x^m times
 the image of e_ij, and one slicer (mfcore._slice) reads every scalar matrix
-of a piece off them.  Both sum supertraces by mfcore._supertrace and refuse
-a twist with wrong endpoints or not closed by _check_endpoints; _graded_pair
-describes a graded pair once, and sets the engine's window and the oracle's.
+of a piece off them.  Both sum supertraces by mfcore._supertrace;
+_graded_pair describes a graded pair once, and sets the engine's window and
+the oracle's.  A twist is alpha: A -> t^*A and beta: t^*B -> B, both closed;
+_check_twisting refuses any other, before anything is built or recorded, in
+both engines, lhs_hlf, rhs_hlf, boundary_bulk and divisibility_check.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from functools import partial
 
 from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
-from .milnor import NonIsolatedError
-from .mfcore import (GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _same_mf, _slice,
+from .milnor import NonIsolatedError, _coerce_symmetry
+from .mfcore import (GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _slice,
                      _supertrace)
 from .polyring import WeightSystem, monomial_mul, scale_substitute
 from .scalars import Scalar, power_product
@@ -242,14 +244,26 @@ def twisted_endomorphism_image(t, alpha: MFMorphism, beta: MFMorphism, phi: MFMo
     return result
 
 
-def _check_endpoints(a, b, alpha, beta):
-    """alpha must leave the pair's source and beta reach its target, both closed."""
-    if not _same_mf(alpha.source, a):
+def _check_twisting(t, a, alpha, b=None, beta=None):
+    """t as a tuple of roots, once the twisting contract holds (alpha's half if b is None)."""
+    t = _coerce_symmetry(t)
+    if len(t) != a.ring.nvars:
+        raise ValueError("one symmetry entry per variable required")
+    if alpha.source is not a and alpha.source.full_matrix() != a.full_matrix():
         raise ValueError("alpha must start at the source factorization")
-    if not _same_mf(beta.target, b):
+    if not alpha._twisted_by(t, True):
+        raise ValueError("alpha must end at the pullback of the source factorization by t")
+    if not alpha.is_closed():
+        raise ValueError("alpha must be closed")
+    if b is None:
+        return t
+    if beta.target is not b and beta.target.full_matrix() != b.full_matrix():
         raise ValueError("beta must end at the target factorization")
-    if not alpha.is_closed() or not beta.is_closed():
-        raise ValueError("alpha and beta must be closed morphisms")
+    if not beta._twisted_by(t, False):
+        raise ValueError("beta must start at the pullback of the target factorization by t")
+    if not beta.is_closed():
+        raise ValueError("beta must be closed")
+    return t
 
 
 def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: CohomologyBasis):
@@ -264,7 +278,7 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
     Y_c is composed and reduced once, to the remainder r_c of (Y_c, 0); the
     element's coordinates are those of t^m m r_c (see CohomologyBasis).
     """
-    _check_endpoints(basis.hom.source, basis.hom.target, alpha, beta)
+    t = _check_twisting(t, basis.hom.source, alpha, basis.hom.target, beta)
     n = basis.total_dim()
     dims = basis.dims
     out = linalg.zeros(n, n)
@@ -402,7 +416,7 @@ def graded_euler_supertrace(a, b, t, alpha, beta):
     pair_strands); a call builds only its twist matrices.
     """
     weights, shift, socle, spread = _graded_pair(a, b)
-    _check_endpoints(a, b, alpha, beta)
+    t = _check_twisting(t, a, alpha, b, beta)
     twist_degree = sum(
         _grading_degree(phi.matrix, weights, g,
                         "morphism is not homogeneous for the declared gradings") or 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import linalg
 from .homcoh import (
     CohomologyBasis,
-    _check_endpoints,
+    _check_twisting,
     cohomology,
     graded_euler_supertrace,
     hom_complex,
@@ -33,7 +33,6 @@ from .milnor import (
 from .mfcore import (
     MatrixFactorization,
     MFMorphism,
-    _same_mf,
     _supertrace,
     equivariance_power_check,
     pullback,
@@ -113,14 +112,8 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
     Composites of odd total parity have identically vanishing supertrace and
     give the zero class.
     """
-    t = _coerce_symmetry(t)
-    if not _same_mf(alpha.source, mf):
-        raise ValueError("alpha must start at the given factorization")
-    if not alpha.is_closed():
-        raise ValueError("alpha must be closed")
+    t = _check_twisting(t, mf, alpha)
     ts = trace_space(mf.potential, t)  # validates the symmetry
-    if not _same_mf(alpha.target, pullback(t, mf)):
-        raise ValueError("alpha must end at the pullback of the factorization by t")
     moving = list(ts.moving_indices)
     fixed = list(ts.fixed_indices)
     delta = mf.full_matrix()
@@ -149,7 +142,7 @@ def tilde_beta(t, beta: MFMorphism) -> MFMorphism:
 
 def rhs_hlf(a, b, t, alpha, beta) -> Scalar:
     """Pairing of the two boundary-bulk classes (the fixed-locus side)."""
-    t = _coerce_symmetry(t)
+    t = _check_twisting(t, a, alpha, b, beta)
     tau_a = boundary_bulk(a, t, alpha)
     tau_b = boundary_bulk(b, _inverse_symmetry(t), tilde_beta(t, beta))
     return canonical_pairing(tau_a, tau_b)
@@ -176,8 +169,7 @@ def lhs_hlf(a, b, t, alpha, beta, engine: str = "groebner") -> Scalar:
     The Groebner engine reuses the cohomology basis of (a, b) across calls
     on the same two objects (see pair_cohomology).
     """
-    t = _coerce_symmetry(t)
-    _check_endpoints(a, b, alpha, beta)
+    t = _check_twisting(t, a, alpha, b, beta)
     if engine == "groebner":
         basis = pair_cohomology(a, b)
         mat = induced_endomorphism(t, alpha, beta, basis)
@@ -285,6 +277,7 @@ def divisibility_check(a: MatrixFactorization, t, alpha: MFMorphism, p: int,
         if not (r.to_scalar() ** p == 1):
             raise ValueError("symmetry must have order dividing p")
     _require_prime(p)  # fast here: a composite p has a factor at most any t_i's order
+    _check_twisting(t, a, alpha)
     if not equivariance_power_check(t, alpha, p):
         raise ValueError("alpha is not a Z/p-equivariant structure")
     if a.r0 != a.r1:

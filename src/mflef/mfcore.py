@@ -35,7 +35,7 @@ from .polyring import (
     monomials_of_weighted_degree,
     scale_substitute,
 )
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, as_scalar, power_product
 
 
 class MFValidationError(ValueError):
@@ -155,10 +155,10 @@ def validate_mf(mf: MatrixFactorization):
 class MFMorphism:
     """A parity-homogeneous matrix between the modules of two factorizations.
 
-    `_closed` caches is_closed() and is not pickled or copied.
+    `_closed` and `_twists` cache is_closed() and _twisted_by(); neither is pickled or copied.
     """
 
-    __slots__ = ("source", "target", "parity", "matrix", "_closed")
+    __slots__ = ("source", "target", "parity", "matrix", "_closed", "_twists")
 
     def __init__(self, source, target, parity, matrix, check_parity=True):
         parity &= 1
@@ -178,6 +178,7 @@ class MFMorphism:
         _set(self, "parity", parity)
         _set(self, "matrix", matrix)
         _set(self, "_closed", None)
+        _set(self, "_twists", {})
 
     def __setattr__(self, *args):
         raise AttributeError("MFMorphism is immutable")
@@ -250,6 +251,18 @@ class MFMorphism:
                 e.is_zero() for row in self.differential().matrix for e in row))
         return self._closed
 
+    def _twisted_by(self, t, into) -> bool:
+        """Whether the target is t^*(source) (into) or the source t^*(target), block by block."""
+        known = self._twists.get((into, t))
+        if known is None:
+            base, image = (self.source, self.target) if into else (self.target, self.source)
+            known = self._twists[(into, t)] = (base.r0, base.r1) == (image.r0, image.r1) and all(
+                e.terms.keys() == f.terms.keys()
+                and all(f.terms[m] == c * power_product(t, m) for m, c in e.terms.items())
+                for row, twisted in zip(base.d0 + base.d1, image.d0 + image.d1)
+                for e, f in zip(row, twisted))
+        return known
+
     def inverse(self) -> "MFMorphism":
         """Inverse of a morphism with scalar entries (unit determinant)."""
         n = self.source.total_rank
@@ -266,11 +279,6 @@ class MFMorphism:
     def __repr__(self):
         return (f"MFMorphism(parity={self.parity}, "
                 f"{self.target.total_rank}x{self.source.total_rank})")
-
-
-def _same_mf(x, y):
-    """Whether two factorizations are one: the same object or an equal matrix."""
-    return x is y or x.full_matrix() == y.full_matrix()
 
 
 # -- constructions ------------------------------------------------------------

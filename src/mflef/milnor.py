@@ -147,7 +147,7 @@ def _coerce_symmetry(t) -> tuple:
         elif type(item) is int and item in (1, -1):  # not a bool: True is no root
             out.append(RootOfUnity(1, 0) if item == 1 else RootOfUnity(2, 1))
         else:
-            raise TypeError(f"symmetry entries must be roots of unity, got {item!r}")
+            raise ValueError(f"symmetry entries must be roots of unity, got {item!r}")
     return tuple(out)
 
 

@@ -823,6 +823,36 @@ def test_morphism_twisted_by_another_symmetry_is_input_error(argv, message, engi
     assert out == "" and err.splitlines() == [f"error: {message}"]
 
 
+OTHER_FACTORIZATION = TWISTS + """
+[mf]
+name = B
+potential = w
+d0 = { x^2 }
+d1 = { x }
+
+[morphism]
+name = alphaB
+source = B
+target = B
+twist = t
+twisted = target
+parity = even
+mat = {
+1 ; 0
+0 ; zeta(3)^2
+}
+"""
+
+
+def test_divisibility_refuses_a_morphism_of_another_factorization(tmp_path, capsys):
+    # alphaB: B -> t^*B is twisted by t, as the document checks, but it is
+    # no structure on A, so the library refuses it
+    doc = tmp_path / "other.mflef"
+    doc.write_text(OTHER_FACTORIZATION)
+    assert _run(["divisibility", "A", "t", "alphaB", "3", "-i", str(doc)]) == 2
+    assert capsys.readouterr() == ("", "error: alpha must start at the source factorization\n")
+
+
 @pytest.mark.parametrize("argv, line", [
     (["bb", "A", "u", "alpha"], "bb A u alpha: class = 1 - zeta(3)  parity = even"),
     (["hlf-verify", "A", "A", "u", "alpha", "beta"],

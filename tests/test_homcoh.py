@@ -387,7 +387,7 @@ def test_graded_engine_rejects_a_twist_that_is_not_closed():
     t = [RootOfUnity(1, 0)] * 2
     alpha = MFMorphism.diagonal(a, pullback(t, a), [Scalar.from_rational(c) for c in (1, 2, 1, 1)])
     assert not alpha.is_closed()
-    with pytest.raises(ValueError, match="alpha and beta must be closed morphisms"):
+    with pytest.raises(ValueError, match="^alpha must be closed$"):
         graded_euler_supertrace(a, a, t, alpha, MFMorphism.identity(a))
 
 
@@ -396,7 +396,7 @@ def test_lhs_refuses_a_twist_that_is_not_closed_before_either_engine(engine):
     a = koszul_mf([x2**2, y2**2], [x2, y2], gradings=[Fraction(1, 3)] * 2)
     t = [RootOfUnity(1, 0)] * 2
     alpha = MFMorphism.diagonal(a, pullback(t, a), [Scalar.from_rational(c) for c in (1, 2, 1, 1)])
-    with pytest.raises(ValueError, match="alpha and beta must be closed morphisms"):
+    with pytest.raises(ValueError, match="^alpha must be closed$"):
         lhs_hlf(a, a, t, alpha, MFMorphism.identity(a), engine=engine)
     assert a._hom_memo == {}  # no engine recorded the pair
 
@@ -635,16 +635,35 @@ def test_graded_equal_but_distinct_target_gets_its_own_entry(monkeypatch):
     assert a._hom_memo[id(b)][2] is not a._hom_memo[id(twin)][2]
 
 
+MIS_TWISTED = "^alpha must end at the pullback of the source factorization by t$"
+
+
+def _kernel_breaking_twist(strand):
+    """A twist of the strand's piece that sends the kernel vector of the first
+    free column to a unit vector off the free columns.  A kernel vector is the
+    sum of its free entries times the basis vectors, so that unit vector is
+    not in the kernel."""
+    n = len(strand.piece.elements)
+    off = next(c for c in range(n) if c not in strand.free)
+    return [[Scalar.one() if (r, c) == (off, strand.free[0]) else Scalar.zero()
+             for c in range(n)] for r in range(n)]
+
+
 def test_twist_checks_run_on_a_reused_entry():
     a, b = graded_rank11(1, 4), graded_rank11(2, 4)
     twists = _natural_twists(a, 1, b, 2, 4)
     lhs_hlf(a, b, *twists[0], engine="graded")
     kept = a._hom_memo[id(b)][2]
     (_, alpha1, _), (t2, _, beta2) = twists[:2]
-    # alpha for zeta_4 under t = zeta_4^2 is no morphism A -> t^*A
-    with pytest.raises(AssertionError, match="twist does not preserve the kernel"):
+    # alpha for zeta_4 under t = zeta_4^2 is no morphism A -> t^*A: refused
+    # before the engine runs, so the kept strands stay as they were
+    with pytest.raises(ValueError, match=MIS_TWISTED):
         lhs_hlf(a, b, t2, alpha1, beta2, engine="graded")
     assert a._hom_memo[id(b)][2] is kept
+    # the engine's own check still runs on a kept strand
+    strand = next(s for s in kept if len(s.free) < len(s.piece.elements))
+    with pytest.raises(AssertionError, match="twist does not preserve the kernel"):
+        mflef.homcoh._subquotient_trace(strand, _kernel_breaking_twist(strand))
     # a strand whose kernel is larger than its nonzero image; the twist maps
     # everything to a kernel vector v outside the image, and an image vector to v
     a, b = _koszul_family((3, 3), graded=True)[0::2]
@@ -668,9 +687,13 @@ def test_twist_checks_run_on_a_reused_acyclic_entry():
     kept = a._hom_memo[id(b)][2]
     assert kept and all(len(s.pivots) == len(s.free) and not s.image for s in kept)
     (_, alpha1, _), (t2, _, beta2) = twists[:2]
-    with pytest.raises(AssertionError, match="twist does not preserve the kernel"):
+    with pytest.raises(ValueError, match=MIS_TWISTED):
         lhs_hlf(a, b, t2, alpha1, beta2, engine="graded")
     assert a._hom_memo[id(b)][2] is kept
+    # the kernel check runs before an acyclic strand's trace is read as 0
+    strand = next(s for s in kept if len(s.free) < len(s.piece.elements))
+    with pytest.raises(AssertionError, match="twist does not preserve the kernel"):
+        mflef.homcoh._subquotient_trace(strand, _kernel_breaking_twist(strand))
 
 
 def test_degree_shifting_twist_builds_no_strands(monkeypatch):

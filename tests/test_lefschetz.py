@@ -96,7 +96,7 @@ def test_boundary_bulk_refuses_an_alpha_twisted_by_another_symmetry():
     # the target must be s^*A, so alpha is refused, and by rhs_hlf too
     mf, t, alpha, beta = a2_data()
     s = [RootOfUnity(3, 2)]
-    message = "^alpha must end at the pullback of the factorization by t$"
+    message = "^alpha must end at the pullback of the source factorization by t$"
     with pytest.raises(ValueError, match=message):
         boundary_bulk(mf, s, alpha)
     with pytest.raises(ValueError, match=message):
@@ -357,6 +357,50 @@ def test_lhs_hlf_checks_the_endpoints_before_either_engine(engine):
         assert lhs_hlf(copy, b, t, alpha_a, beta_b) == lhs_hlf(a, b, t, alpha_a, beta_b)
 
 
+def _natural(mf, e, j):
+    """The structure (1, zeta_3^(j e)) of mf = {x^e ; x^(3-e)} for t = zeta_3^j."""
+    return MFMorphism.diagonal(mf, pullback([RootOfUnity(3, j)], mf),
+                               [Scalar.one(), Scalar.zeta(3, j * e)])
+
+
+MIS_TWISTS = {  # bad input -> the twisting rule's message for it
+    "alpha-into-sA": "alpha must end at the pullback of the source factorization by t",
+    "beta-from-sB": "beta must start at the pullback of the target factorization by t",
+    "alpha-of-B": "alpha must start at the source factorization",
+}
+TWISTED_ENTRIES = {  # entry point -> its call on (A, B, t, alpha, beta)
+    "lhs-groebner": lhs_hlf,
+    "lhs-graded": lambda a, b, t, al, be: lhs_hlf(a, b, t, al, be, engine="graded"),
+    "lhs-both": lambda a, b, t, al, be: lhs_hlf(a, b, t, al, be, engine="both"),
+    "verify-hlf": verify_hlf,
+    "verify-isolated": verify_isolated,
+    "rhs": rhs_hlf,
+    "trace-identity": lambda a, b, t, al, be: trace_identity_check(a, t, al),
+    "boundary-bulk": lambda a, b, t, al, be: boundary_bulk(a, t, al),
+    "divisibility": lambda a, b, t, al, be: divisibility_check(a, t, al, 3),
+}
+ALPHA_ONLY = ("trace-identity", "boundary-bulk", "divisibility")  # beta is not an input
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in TWISTED_ENTRIES for bad in MIS_TWISTS
+    if not (entry in ALPHA_ONLY and bad.startswith("beta"))])
+def test_every_entry_point_refuses_a_mis_twisted_input_before_recording(entry, bad):
+    # A = (x, x^2) and B = (x^2, x) of x^3, t = zeta_3 and s = t^2; each bad
+    # input is right but for one endpoint, which the twisting rule refuses
+    # before any engine builds or records the pair
+    a, b, t = kfac("x", 2, 3), kfac("x", 1, 3), [RootOfUnity(3, 1)]
+    alpha, beta = _natural(a, 1, 1), _natural(b, 2, 1).inverse()
+    inputs = {"alpha-into-sA": (_natural(a, 1, 2), beta),
+              "beta-from-sB": (alpha, _natural(b, 2, 2).inverse()),
+              "alpha-of-B": (_natural(b, 2, 1), beta)}
+    call = TWISTED_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(MIS_TWISTS[bad])}$"):
+        call(a, b, t, *inputs[bad])
+    assert a._hom_memo == {}
+    call(a, b, t, alpha, beta)  # the right input passes
+
+
 def test_roots_of_unity_are_raised_by_exponent_arithmetic(monkeypatch):
     # a RootOfUnity t_i enters as zeta_m^(a e), with the same stored form as
     # the power of the Scalar zeta_m^a, and Scalar.__pow__ is never called
@@ -606,6 +650,7 @@ def _refusal_cases():
     graded_odd = MFMorphism(graded, graded, 1, [[R1.zero(), R1.one()], [-R1.one(), R1.zero()]])
     # unchecked, and no factorization of x^2: its operator has degree 1, not 1/2
     squares = MatrixFactorization(x**2, [[x**2]], [[x**2]], gradings=([0], [0]), check=False)
+    plane = koszul_mf([x2**2, y2**2], [x2, y2], gradings=[Fraction(1, 3)] * 2)
     return [
         ("trace-identity-fixed-coordinate", lambda: trace_identity_check(mf, fixed, alpha),
          ValueError, "the trace identity needs t_i != 1 for every coordinate"),
@@ -625,7 +670,7 @@ def _refusal_cases():
         ("lhs-unknown-engine", lambda: lhs_hlf(mf, mf, t, alpha, beta, engine="nope"),
          ValueError, "unknown engine 'nope'"),
         ("boundary-bulk-other-source", lambda: boundary_bulk(a1, t, alpha),
-         ValueError, "alpha must start at the given factorization"),
+         ValueError, "alpha must start at the source factorization"),
         ("boundary-bulk-unclosed", lambda: boundary_bulk(mf, t, unclosed),
          ValueError, "alpha must be closed"),
         ("graded-parity-reversing",
@@ -636,14 +681,19 @@ def _refusal_cases():
          lambda: graded_euler_supertrace(graded, squares, fixed, MFMorphism.identity(graded),
                                          MFMorphism.identity(squares)),
          ValueError, "source and target gradings use different operator shifts"),
+        # the graded engine must not read a one-entry t on two variables as (t, 1)
+        ("graded-short-symmetry",
+         lambda: lhs_hlf(plane, plane, fixed, MFMorphism.identity(plane),
+                         MFMorphism.identity(plane), engine="graded"),
+         ValueError, "one symmetry entry per variable required"),
         ("symmetry-entry-2", lambda: _coerce_symmetry([1, 2]),
-         TypeError, "symmetry entries must be roots of unity, got 2"),
+         ValueError, "symmetry entries must be roots of unity, got 2"),
         ("symmetry-entry-fraction", lambda: _coerce_symmetry([Fraction(1)]),
-         TypeError, "symmetry entries must be roots of unity, got Fraction"),
+         ValueError, "symmetry entries must be roots of unity, got Fraction"),
         ("symmetry-entry-text", lambda: _coerce_symmetry(["-1"]),
-         TypeError, "symmetry entries must be roots of unity, got '-1'"),
+         ValueError, "symmetry entries must be roots of unity, got '-1'"),
         ("symmetry-entry-bool", lambda: _coerce_symmetry([True]),
-         TypeError, "symmetry entries must be roots of unity, got True"),
+         ValueError, "symmetry entries must be roots of unity, got True"),
     ]
 
 
