@@ -79,7 +79,6 @@ from .lefschetz import (
     lhs_hlf,
     lunts_check,
     rhs_hlf,
-    tilde_beta,
     trace_identity_check,
     verify_hlf,
     verify_isolated,
@@ -113,7 +112,7 @@ __all__ = [
     "graded_cohomology_dimensions", "graded_euler_supertrace", "hom_complex",
     "induced_endomorphism", "supertrace_on_cohomology",
     "DivisibilityReport", "LefschetzReport", "boundary_bulk",
-    "divisibility_check", "lhs_hlf", "lunts_check", "rhs_hlf", "tilde_beta",
+    "divisibility_check", "lhs_hlf", "lunts_check", "rhs_hlf",
     "trace_identity_check", "verify_hlf", "verify_isolated",
     "zero_fixed_locus_check",
     "HilbertData", "UniPoly", "chi_polynomial",

@@ -21,7 +21,8 @@ of a piece off them.  Both sum supertraces by mfcore._supertrace;
 _graded_pair describes a graded pair once, and sets the engine's window and
 the oracle's.  A twist is alpha: A -> t^*A and beta: t^*B -> B, both closed;
 _check_twisting refuses any other, before anything is built or recorded, in
-both engines, lhs_hlf, rhs_hlf, boundary_bulk and divisibility_check.
+both engines, lhs_hlf, rhs_hlf (once, for both boundary-bulk classes),
+boundary_bulk and divisibility_check.
 """
 
 from __future__ import annotations

@@ -35,10 +35,9 @@ from .mfcore import (
     MFMorphism,
     _supertrace,
     equivariance_power_check,
-    pullback,
     supertrace_at_origin,
 )
-from .polyring import partial_derivative, scale_substitute, set_variables_to_zero
+from .polyring import partial_derivative, set_variables_to_zero
 from .scalars import Scalar, _require_prime, one_minus_zeta_valuation, power_product
 
 
@@ -113,38 +112,37 @@ def boundary_bulk(mf: MatrixFactorization, t, alpha: MFMorphism) -> TraceSpaceEl
     give the zero class.
     """
     t = _check_twisting(t, mf, alpha)
-    ts = trace_space(mf.potential, t)  # validates the symmetry
+    return _bulk_class(trace_space(mf.potential, t), mf, alpha)  # trace_space validates t
+
+
+def _bulk_class(ts, mf: MatrixFactorization, phi: MFMorphism) -> TraceSpaceElement:
+    """The class in ts = H(w_t) of phi, a morphism out of mf (see boundary_bulk)."""
     moving = list(ts.moving_indices)
     fixed = list(ts.fixed_indices)
     delta = mf.full_matrix()
     ring = mf.ring
-    composite = alpha.matrix
+    composite = phi.matrix
     for f in fixed:
         derived = [[partial_derivative(e, f) for e in row] for row in delta]
         composite = linalg.mat_mul(derived, composite, ring.zero(), cols=mf.total_rank)
-    if (len(fixed) + alpha.parity) % 2:
+    if (len(fixed) + phi.parity) % 2:
         return ts.zero()
     trace = _supertrace((row[i] for i, row in enumerate(composite)), mf.parities(), ring.zero())
-    restricted = set_variables_to_zero(trace, moving, target_ring=ts.milnor.ring)
+    restricted = set_variables_to_zero(trace, moving)
     sign = _permutation_sign(moving + fixed)
     return ts.element(restricted * Scalar.from_rational(sign))
 
 
-def tilde_beta(t, beta: MFMorphism) -> MFMorphism:
-    """Turn beta: t^*B -> B into the induced morphism B -> (t^{-1})^* B."""
-    t = _coerce_symmetry(t)
-    inv = _inverse_symmetry(t)
-    source = beta.target
-    target = pullback(inv, beta.target)
-    matrix = [[scale_substitute(e, inv) for e in row] for row in beta.matrix]
-    return MFMorphism(source, target, beta.parity, matrix, check_parity=False)
-
-
 def rhs_hlf(a, b, t, alpha, beta) -> Scalar:
-    """Pairing of the two boundary-bulk classes (the fixed-locus side)."""
+    """Pairing of the two boundary-bulk classes (the fixed-locus side).
+
+    beta's class is its twin's, B -> (t^{-1})^*B with entries beta(t^{-1} x),
+    in H(w_{t^{-1}}).  It is read off beta: restriction keeps only terms free
+    of moving variables, and t_i = 1 on every fixed one.
+    """
     t = _check_twisting(t, a, alpha, b, beta)
-    tau_a = boundary_bulk(a, t, alpha)
-    tau_b = boundary_bulk(b, _inverse_symmetry(t), tilde_beta(t, beta))
+    tau_a = _bulk_class(trace_space(a.potential, t), a, alpha)
+    tau_b = _bulk_class(trace_space(b.potential, _inverse_symmetry(t)), b, beta)
     return canonical_pairing(tau_a, tau_b)
 
 

@@ -176,11 +176,6 @@ class Polynomial:
             raise ValueError("polynomial is not weighted-homogeneous")
         return degrees.pop()
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return max(self.terms, key=degrevlex_key)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -307,29 +302,6 @@ def scale_substitute(f: Polynomial, scales) -> Polynomial:
     return Polynomial(f.ring, terms)
 
 
-def substitute(f: Polynomial, ring: PolyRing, images) -> Polynomial:
-    """Ring map sending variable i to images[i] (a polynomial of `ring`)."""
-    images = list(images)
-    if len(images) != f.ring.nvars:
-        raise ValueError("one image per variable required")
-    cache: dict = {}
-
-    def var_power(i, e):
-        key = (i, e)
-        if key not in cache:
-            cache[key] = images[i] ** e
-        return cache[key]
-
-    result = ring.zero()
-    for m, c in f.terms.items():
-        term = ring.const(c)
-        for i, e in enumerate(m):
-            if e:
-                term = term * var_power(i, e)
-        result = result + term
-    return result
-
-
 def extend_ring(f: Polynomial, ring: PolyRing) -> Polynomial:
     """Reinterpret f inside a ring containing all of f's variables by name."""
     index = [ring.vars.index(v) for v in f.ring.vars]
@@ -342,41 +314,21 @@ def extend_ring(f: Polynomial, ring: PolyRing) -> Polynomial:
     return Polynomial(ring, terms)
 
 
-def set_variables_to_zero(f: Polynomial, indices, target_ring: PolyRing | None = None) -> Polynomial:
+def set_variables_to_zero(f: Polynomial, indices) -> Polynomial:
     """Kill the listed variables; the result lives in the ring of the rest."""
     dead = set(indices)
     keep = [i for i in range(f.ring.nvars) if i not in dead]
-    if target_ring is None:
-        target_ring = PolyRing(tuple(f.ring.vars[i] for i in keep))
     terms = {}
     for m, c in f.terms.items():
         if any(m[i] for i in dead):
             continue
         terms[tuple(m[i] for i in keep)] = c
-    return Polynomial(target_ring, terms)
+    return Polynomial(PolyRing(tuple(f.ring.vars[i] for i in keep)), terms)
 
 
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The quotient f/g when the division is exact; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    quotient = f.ring.zero()
-    rem = f
-    lm = g.leading_monomial()
-    lc = g.terms[lm]
-    while not rem.is_zero():
-        m = rem.leading_monomial()
-        if not monomial_divides(lm, m):
-            raise ArithmeticError("division is not exact")
-        q = f.ring.monomial(monomial_div(m, lm), rem.terms[m] / lc)
-        quotient = quotient + q
-        rem = rem - q * g
-    return quotient
-
-
-def mirror_ring(ring: PolyRing, prefix: str = "y_") -> PolyRing:
-    """The ring in x-variables plus a mirrored copy (used for w(y) - w(x))."""
-    mirrored = tuple(prefix + v for v in ring.vars)
+def mirror_ring(ring: PolyRing) -> PolyRing:
+    """The ring in x-variables plus a mirrored copy y_x (used for w(y) - w(x))."""
+    mirrored = tuple("y_" + v for v in ring.vars)
     if set(mirrored) & set(ring.vars):
         raise ValueError("mirrored variable names collide")
     return PolyRing(ring.vars + mirrored)
@@ -390,23 +342,24 @@ def difference_quotients(w: Polynomial) -> list[Polynomial]:
         w(y) - w(x) = sum_i D_i(x, y) * (y_i - x_i),
 
     where D_i = (w(y_1..y_i, x_{i+1}..x_n) - w(y_1..y_{i-1}, x_i..x_n))
-    divided exactly by (y_i - x_i).
+    divided exactly by (y_i - x_i).  In closed form a term c x^m with
+    m_i > 0 contributes
+
+        c * prod_{j<i} y_j^m_j * sum_{k<m_i} y_i^k x_i^(m_i-1-k) * prod_{j>i} x_j^m_j.
+
+    Each exponent vector gives back m and k, so no two contributions meet
+    and every coefficient is c as it is.
     """
     n = w.ring.nvars
     big = mirror_ring(w.ring)
-
-    def mixed(k):
-        # w with the first k variables replaced by their mirrors
-        images = [big.var(n + i) if i < k else big.var(i) for i in range(n)]
-        return substitute(w, big, images)
-
     quotients = []
-    prev = mixed(0)
     for i in range(n):
-        cur = mixed(i + 1)
-        denom = big.var(n + i) - big.var(i)
-        quotients.append(exact_divide(cur - prev, denom))
-        prev = cur
+        terms = {}
+        for m, c in w.terms.items():
+            for k in range(m[i]):
+                xs = (0,) * i + (m[i] - 1 - k,) + m[i + 1 :]
+                terms[xs + m[:i] + (k,) + (0,) * (n - 1 - i)] = c
+        quotients.append(Polynomial(big, terms))
     return quotients
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import mflef.lefschetz
 from mflef.homcoh import cohomology, graded_euler_supertrace, hom_complex
-from mflef.milnor import _coerce_symmetry
+from mflef.milnor import _coerce_symmetry, canonical_pairing
 from mflef.scalars import RootOfUnity, Scalar
 from mflef.polyring import PolyRing, scale_substitute
 from mflef.mfcore import (
@@ -26,7 +26,6 @@ from mflef.lefschetz import (
     lunts_check,
     pair_cohomology,
     rhs_hlf,
-    tilde_beta,
     trace_identity_check,
     verify_hlf,
     verify_isolated,
@@ -105,21 +104,48 @@ def test_boundary_bulk_refuses_an_alpha_twisted_by_another_symmetry():
     assert boundary_bulk(mf, [RootOfUnity(6, 2)], alpha) == boundary_bulk(mf, t, alpha)
 
 
-def test_tilde_beta():
-    mf, t, alpha, beta = a2_data()
-    tb = tilde_beta(t, beta)
-    assert tb.source is beta.target
-    assert tb.is_closed()
-    # constants are substitution-invariant
-    assert tb.matrix == beta.matrix
-    # t = id returns beta itself (as matrices)
-    ident = [RootOfUnity(1, 0)]
-    mf_id = MatrixFactorization(x**3, [[x]], [[x**2]])
-    b = MFMorphism.identity(mf_id)
-    assert tilde_beta(ident, b).matrix == b.matrix
-    # tilde twice recovers beta's matrix
-    tb2 = tilde_beta([r.inverse() for r in t], tb)
-    assert tb2.matrix == beta.matrix
+def _fixed_locus_pair(case):
+    # the tensor-built pairs of test_acceptance's criterion 2: t = (zeta_3, 1)
+    # moves x and fixes y
+    fx = kfac("x", 1, 3)
+    ry = PolyRing(("y",))
+    fy = {"natural": kfac("y", 1, 3), "odd": kfac("y", 1, 3), "odd-nonzero": kfac("y", 1, 2),
+          "odd-nonzero-mu3": koszul_mf([ry.var("y") ** 2], [ry.var("y") ** 2])}[case]
+    A = tensor_mf(fx, fy)
+    t = [RootOfUnity(3, 1), RootOfUnity(1, 0)]
+    tgt = pullback(t, A)
+    u = MFMorphism.diagonal(fx, pullback([RootOfUnity(3, 1)], fx), [Scalar.one(), Scalar.zeta(3, 2)])
+    eta = MFMorphism.identity(fy) if case == "natural" else odd_rank11_generator(fy)
+    alpha = tensor_morphisms(u, eta, source=A, target=tgt)
+    if case in ("odd", "odd-nonzero-mu3"):
+        return A, t, alpha, tensor_morphisms(u.inverse(), eta, source=tgt, target=A)
+    return A, t, alpha, alpha.inverse()
+
+
+@pytest.mark.parametrize("case, nonzero", [
+    ("natural", False), ("odd", False), ("odd-nonzero", True), ("odd-nonzero-mu3", True),
+])
+def test_rhs_hlf_reads_beta_class_as_its_twin_class(case, nonzero):
+    # reference: the class of beta's twin B -> (t^{-1})^*B, entries beta(t^{-1} x),
+    # with beta moved by a coboundary whose entries involve the moving x
+    A, t, alpha, beta = _fixed_locus_pair(case)
+    rng = random.Random(case)
+    n = A.r0
+
+    def block():
+        return [[A.ring.monomial((rng.randint(1, 2), rng.randint(0, 1)), rng.randint(1, 3))
+                 for _ in range(n)] for _ in range(n)]
+
+    psi = MFMorphism.from_blocks(beta.source, A, 1 - beta.parity, block(), block())
+    beta = beta + psi.differential()
+    inv = [r.inverse() for r in t]
+    twin = MFMorphism(A, pullback(inv, A), beta.parity,
+                      [[scale_substitute(e, inv) for e in row] for row in beta.matrix],
+                      check_parity=False)
+    assert twin.matrix != beta.matrix
+    value = rhs_hlf(A, A, t, alpha, beta)
+    assert value == canonical_pairing(boundary_bulk(A, t, alpha), boundary_bulk(A, inv, twin))
+    assert value.is_zero() != nonzero
 
 
 def test_verify_hlf_a1():
