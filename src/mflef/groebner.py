@@ -404,38 +404,26 @@ def standard_monomials(gb: GroebnerBasis, nvars=None):
     """All module monomials outside the leading-term module, or None if infinite.
 
     Entries are (component, monomial) pairs in (component, degrevlex) order;
-    their number is the scalar dimension of the quotient.
+    their number is the scalar dimension of the quotient.  They form an order
+    ideal (Macaulay's basis; Cox, Little, O'Shea, Ideals, Varieties, and
+    Algorithms, 5.3): each degree is the one-variable steps up from the one
+    below, less the multiples of a lead.  It is finite iff some lead is a
+    power of each variable; the unit lead is one of every variable.
     """
     nvars = gb.ring.nvars if gb.ring is not None else nvars
     if nvars is None:
         raise ValueError("variable count needed for an empty basis")
-    unit = (0,) * nvars
     result = []
     for comp in range(gb.rank):
-        entries = gb.leads.get(comp, ())
-        if any(lead == unit for lead, _ in entries):
-            continue  # unit leading term: component quotient is zero
-        # finite iff some lead is a pure power of every variable
-        for var in range(nvars):
-            if not any(m[var] and sum(m) == m[var] for m, _ in entries):
-                return None
-        seen = set()
-        queue = [unit]
-        standard = []
-        while queue:
-            m = queue.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            if any(monomial_divides(lead, m) for lead, _ in entries):
-                continue
-            standard.append(m)
-            for var in range(nvars):
-                bumped = m[:var] + (m[var] + 1,) + m[var + 1 :]
-                if bumped not in seen:
-                    queue.append(bumped)
-        standard.sort(key=degrevlex_key)
-        result.extend((comp, m) for m in standard)
+        leads = [lead for lead, _ in gb.leads.get(comp, ())]
+        if not all(any(sum(m) == m[var] for m in leads) for var in range(nvars)):
+            return None
+        layer = {(0,) * nvars}
+        while layer:
+            standard = sorted((m for m in layer if not any(monomial_divides(lead, m) for lead in leads)),
+                              key=degrevlex_key)
+            result.extend((comp, m) for m in standard)
+            layer = {m[:var] + (m[var] + 1,) + m[var + 1:] for m in standard for var in range(nvars)}
     return result
 
 

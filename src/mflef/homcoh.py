@@ -27,16 +27,17 @@ boundary_bulk and divisibility_check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 
 from . import linalg
 from .groebner import GroebnerBasis, Vec, buchberger, normal_form, standard_monomials, syzygy_basis
-from .milnor import NonIsolatedError, _coerce_symmetry
+from .milnor import NonIsolatedError
 from .mfcore import (GradedHomPiece, MatrixFactorization, MFMorphism, _d_column, _slice,
                      _supertrace)
 from .polyring import WeightSystem, monomial_mul, scale_substitute
-from .scalars import Scalar, power_product
+from .scalars import Scalar, _coerce_symmetry, power_product
 
 
 class HomComplex:
@@ -358,16 +359,15 @@ def _graded_pair(a, b):
 
 
 def _window_degrees(a, b, weights, bound):
-    """The internal degrees up to bound that carry a cochain."""
-    offsets = {g - h for g in b.grading_list() for h in a.grading_list()}
+    """The lattice min(offsets) + k/D up to bound, D the lcm of the denominators
+    of the weights and of the offsets g_B - g_A: it holds every cochain degree,
+    and _strands skips a degree whose piece is empty."""
+    offsets = [g - h for g in b.grading_list() for h in a.grading_list()]
     if not offsets:
         return []
-    # weighted degrees of monomials, up to the largest one any offset needs
-    top = bound - min(offsets)
-    reachable = {Fraction(0)}
-    for q in weights:
-        reachable = {v + q * e for v in reachable for e in range(int((top - v) / q) + 1)}
-    return sorted({v + o for v in reachable for o in offsets if v + o <= bound})
+    low = min(offsets)
+    step = Fraction(1, math.lcm(*(q.denominator for q in (*weights, *offsets))))
+    return [low + k * step for k in range((bound - low) // step + 1)]
 
 
 def _strands(a, b, weights, s_deg, bound):

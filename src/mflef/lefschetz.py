@@ -25,7 +25,6 @@ from .homcoh import (
 from .milnor import (
     PAIRING_CONVENTION,
     TraceSpaceElement,
-    _coerce_symmetry,
     canonical_pairing,
     milnor_data,
     trace_space,
@@ -38,7 +37,7 @@ from .mfcore import (
     supertrace_at_origin,
 )
 from .polyring import partial_derivative, set_variables_to_zero
-from .scalars import Scalar, _require_prime, one_minus_zeta_valuation, power_product
+from .scalars import Scalar, _coerce_symmetry, _require_prime, one_minus_zeta_valuation, power_product
 
 
 class EngineDisagreementError(AssertionError):
@@ -218,9 +217,7 @@ def lunts_check(w, t, case="lunts") -> LefschetzReport:
     ts = trace_space(w, t)  # validates symmetry and isolatedness of w_t
     algebra = milnor_data(w)
     n = w.ring.nvars
-    det = Scalar.one()
-    for r in t:
-        det = det * r.to_scalar()
+    det = power_product(t, (1,) * n)
     trace = Scalar.zero()
     for mono in algebra.basis:
         trace = trace + power_product(t, mono)
@@ -271,9 +268,8 @@ def divisibility_check(a: MatrixFactorization, t, alpha: MFMorphism, p: int,
     start = _now()
     if any(r.is_one() for r in t):
         raise ValueError("divisibility needs an isolated fixed point (all t_i != 1)")
-    for r in t:
-        if not (r.to_scalar() ** p == 1):
-            raise ValueError("symmetry must have order dividing p")
+    if not all((r**p).is_one() for r in t):
+        raise ValueError("symmetry must have order dividing p")
     _require_prime(p)  # fast here: a composite p has a factor at most any t_i's order
     _check_twisting(t, a, alpha)
     if not equivariance_power_check(t, alpha, p):

@@ -35,7 +35,7 @@ from .polyring import (
     monomials_of_weighted_degree,
     scale_substitute,
 )
-from .scalars import Scalar, as_scalar, power_product
+from .scalars import Scalar, _coerce_symmetry, as_scalar, power_product
 
 
 class MFValidationError(ValueError):
@@ -435,11 +435,10 @@ def odd_rank11_generator(mf: MatrixFactorization) -> MFMorphism:
 
 def pullback(t, mf: MatrixFactorization) -> MatrixFactorization:
     """Entrywise substitution x_i -> t_i x_i; t must fix the potential."""
-    scales = list(t)
-    if not (scale_substitute(mf.potential, scales) == mf.potential):
+    if not (scale_substitute(mf.potential, t) == mf.potential):
         raise ValueError("t is not a symmetry of the potential")
-    d0 = [[scale_substitute(e, scales) for e in row] for row in mf.d0]
-    d1 = [[scale_substitute(e, scales) for e in row] for row in mf.d1]
+    d0 = [[scale_substitute(e, t) for e in row] for row in mf.d0]
+    d1 = [[scale_substitute(e, t) for e in row] for row in mf.d1]
     return MatrixFactorization(mf.potential, d0, d1, r0=mf.r0, r1=mf.r1,
                                gradings=mf.gradings, check=False)
 
@@ -457,17 +456,16 @@ def stabilized_diagonal(w: Polynomial) -> MatrixFactorization:
 
 def equivariance_power_check(t, alpha: MFMorphism, p: int) -> bool:
     """True iff t^((p-1)*)(alpha) o ... o t^*(alpha) o alpha is the identity."""
-    scales = [as_scalar(s) for s in t]
-    for s in scales:
-        if not (s**p == 1):
-            raise ValueError("symmetry entries must have order dividing p")
+    t = _coerce_symmetry(t)
+    if not all((r**p).is_one() for r in t):
+        raise ValueError("symmetry entries must have order dividing p")
     ring = alpha.source.ring
     composite = alpha.matrix
-    power = scales
+    power = t
     for _ in range(p - 1):
         twisted = [[scale_substitute(e, power) for e in row] for row in alpha.matrix]
         composite = linalg.mat_mul(twisted, composite, ring.zero(), cols=alpha.source.total_rank)
-        power = [a * b for a, b in zip(power, scales)]
+        power = [a * b for a, b in zip(power, t)]
     return _frozen(composite) == MFMorphism.identity(alpha.source).matrix
 
 
@@ -630,8 +628,7 @@ def stabilize_module(pres: GradedModulePresentation, w: Polynomial):
     alpha = None
     if w_deg % 2 == 0 and ring.nvars > 0:
         signs = [Scalar.from_rational((-1) ** int(degrees[i])) for i in evens + odds]
-        minus = [Scalar.from_rational(-1)] * ring.nvars
-        alpha = MFMorphism.diagonal(mf, pullback(minus, mf), signs)
+        alpha = MFMorphism.diagonal(mf, pullback([-1] * ring.nvars, mf), signs)
         if not alpha.is_closed():
             raise AssertionError("canonical Z/2 structure failed to close")
     return mf, alpha

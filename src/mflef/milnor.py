@@ -24,7 +24,7 @@ from .polyring import (
     partial_derivative,
     set_variables_to_zero,
 )
-from .scalars import RootOfUnity, Scalar
+from .scalars import Scalar, _coerce_symmetry
 
 
 class NonIsolatedError(ValueError):
@@ -137,18 +137,6 @@ class MilnorAlgebra:
 
 def milnor_data(w: Polynomial) -> MilnorAlgebra:
     return MilnorAlgebra(w)
-
-
-def _coerce_symmetry(t) -> tuple:
-    out = []
-    for item in t:
-        if isinstance(item, RootOfUnity):
-            out.append(item)
-        elif type(item) is int and item in (1, -1):  # not a bool: True is no root
-            out.append(RootOfUnity(1, 0) if item == 1 else RootOfUnity(2, 1))
-        else:
-            raise ValueError(f"symmetry entries must be roots of unity, got {item!r}")
-    return tuple(out)
 
 
 class TraceSpace:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 from .linalg import echelon_form
-from .scalars import RootOfUnity, Scalar, as_scalar, format_sum, power_product, power_text
+from .scalars import Scalar, _coerce_symmetry, as_scalar, format_sum, power_product, power_text
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -183,7 +183,7 @@ class Polynomial:
             if other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
-        if isinstance(other, (int, Fraction, Scalar, RootOfUnity)):
+        if isinstance(other, (int, Fraction, Scalar)):
             return self.ring.const(as_scalar(other))
         return None
 
@@ -213,7 +213,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, RootOfUnity)):
+        if isinstance(other, (int, Fraction, Scalar)):
             c = as_scalar(other)
             if c.is_zero():
                 return self.ring.zero()
@@ -290,8 +290,9 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
 
 
 def scale_substitute(f: Polynomial, scales) -> Polynomial:
-    """f(t_1 x_1, ..., t_n x_n) for scalar (root-of-unity) multipliers t_i."""
-    ts = [t if isinstance(t, RootOfUnity) else as_scalar(t) for t in scales]
+    """f(t_1 x_1, ..., t_n x_n) for a symmetry t: RootOfUnity entries or the
+    ints 1 and -1, each term c x^m scaled by t^m (see power_product)."""
+    ts = _coerce_symmetry(scales)
     if len(ts) != f.ring.nvars:
         raise ValueError("one multiplier per variable required")
     terms: dict = {}

@@ -434,22 +434,24 @@ _ONE = _scalar(1, (1,))
 def as_scalar(value) -> Scalar:
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, RootOfUnity):
-        return value.to_scalar()
     if isinstance(value, (int, Fraction)):
         return _rational(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
-def power_product(scales, mono) -> Scalar:
-    """The product of the t_i^(m_i) with m_i > 0, 1 for the unit monomial; a
-    RootOfUnity zeta_n^a gives zeta_n^(a m_i) by exponent arithmetic."""
-    factor = None
-    for t, e in zip(scales, mono):
+def power_product(roots, mono) -> Scalar:
+    """t^m = prod t_i^(m_i) for roots of unity t_i, by exponent arithmetic.
+
+    The value is zeta_L^k with L the lcm of the orders of the t_i with
+    m_i > 0, a root written zeta_n^0 included, and 1 (order 1) for the unit
+    monomial: the stored form of the Scalar product of the t_i^(m_i)."""
+    order, k = 1, 0
+    for r, e in zip(roots, mono):
         if e:
-            p = Scalar.zeta(t.order, t.exponent * e) if isinstance(t, RootOfUnity) else as_scalar(t) ** e
-            factor = p if factor is None else factor * p
-    return _ONE if factor is None else factor
+            n = r.order
+            lcm = order * n // math.gcd(order, n)
+            k, order = k * (lcm // order) + r.exponent * e * (lcm // n), lcm
+    return _zeta(order, k % order)
 
 
 def _require_prime(p: int):
@@ -531,3 +533,15 @@ class RootOfUnity:
 
     def __repr__(self):
         return f"RootOfUnity({self.order}, {self.exponent})"
+
+
+def _coerce_symmetry(t) -> tuple:
+    out = []
+    for item in t:
+        if isinstance(item, RootOfUnity):
+            out.append(item)
+        elif type(item) is int and item in (1, -1):  # not a bool: True is no root
+            out.append(RootOfUnity(1, 0) if item == 1 else RootOfUnity(2, 1))
+        else:
+            raise ValueError(f"symmetry entries must be roots of unity, got {item!r}")
+    return tuple(out)

@@ -22,6 +22,7 @@ from mflef.mfcore import koszul_mf
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
+R3 = PolyRing(("x", "y", "z"))
 
 
 def test_buchberger_examples():
@@ -131,15 +132,28 @@ def _exps(n, var_multiset):
     return tuple(out)
 
 
+def _in_walk_order(std):
+    return std == sorted(std, key=lambda entry: (entry[0], degrevlex_key(entry[1])))
+
+
 def test_standard_monomials_match_brute_force():
     x, y = R2.var("x"), R2.var("y")
-    for gens in ([x**2, y**2], [x**2 + y**2, x * y], [x**3, y**3, x**2 * y]):
+    x3, y3, z3 = (R3.var(v) for v in "xyz")
+    for gens in ([x**2, y**2], [x**2 + y**2, x * y], [x**3, y**3, x**2 * y],
+                 [x3**2 + y3 * z3, y3**2 + x3 * z3, z3**2 + x3 * y3],
+                 [x3**2, y3**2, z3**3, x3 * y3 * z3]):
         gb = buchberger(gens)
         std = standard_monomials(gb)
-        assert std is not None
+        assert std is not None and _in_walk_order(std)
         max_deg = max(sum(m) for _, m in std)
         # beyond the max standard degree every monomial lies in the ideal
         assert len(std) == _brute_force_graded_dimension(gens, max_deg + 2)
+    # rank 2: the unit lead leaves component 0 nothing; component 1 is R/(x^2 + y^2, xy)
+    gb = buchberger([Vec.from_column([R2.one(), x]), Vec.from_column([R2.zero(), x**2 + y**2]),
+                     Vec.from_column([R2.zero(), x * y])])
+    std = standard_monomials(gb)
+    assert std == [(1, (0, 0)), (1, (0, 1)), (1, (1, 0)), (1, (0, 2))]
+    assert _in_walk_order(std)
 
 
 def test_syzygy_examples():

@@ -7,12 +7,13 @@ import pytest
 
 import mflef.lefschetz
 from mflef.homcoh import cohomology, graded_euler_supertrace, hom_complex
-from mflef.milnor import _coerce_symmetry, canonical_pairing
-from mflef.scalars import RootOfUnity, Scalar
-from mflef.polyring import PolyRing, scale_substitute
+from mflef.milnor import canonical_pairing, trace_space
+from mflef.scalars import RootOfUnity, Scalar, _coerce_symmetry
+from mflef.polyring import PolyRing, check_symmetry, scale_substitute
 from mflef.mfcore import (
     MatrixFactorization,
     MFMorphism,
+    equivariance_power_check,
     koszul_mf,
     odd_rank11_generator,
     pullback,
@@ -437,8 +438,10 @@ def test_roots_of_unity_are_raised_by_exponent_arithmetic(monkeypatch):
         mf, t1, alpha, beta = a2_data()
         return [str(verify_isolated(mf, mf, t1, alpha, beta)), str(lunts_check(x2**3 + y2**4, t))]
 
-    expected = {m: (c.order, c.num, c.den)
-                for m, c in scale_substitute(f, [Scalar.zeta(6, 5)]).terms.items()}
+    expected = {}
+    for m, c in f.terms.items():
+        scaled = c * RootOfUnity(6, 5).to_scalar() ** m[0] if m[0] else c
+        expected[m] = (scaled.order, scaled.num, scaled.den)
     reports = run()
 
     def no_pow(*args):
@@ -736,3 +739,32 @@ def test_verifier_refusals(call, error, message):
 def test_coerce_symmetry_accepts_plus_and_minus_one():
     assert _coerce_symmetry([1, -1, RootOfUnity(3, 2)]) == (
         RootOfUnity(1, 0), RootOfUnity(2, 1), RootOfUnity(3, 2))
+
+
+def _symmetry_takers():
+    mf, _, alpha, beta = a2_data()
+    return {
+        "pullback": lambda t: pullback(t, mf),
+        "scale_substitute": lambda t: scale_substitute(x**3, t),
+        "check_symmetry": lambda t: check_symmetry(x**3, t),
+        "equivariance_power_check": lambda t: equivariance_power_check(t, alpha, 3),
+        "trace_space": lambda t: trace_space(x**3, t),
+        "lhs_hlf": lambda t: lhs_hlf(mf, mf, t, alpha, beta),
+    }
+
+
+@pytest.mark.parametrize("taker", sorted(_symmetry_takers()))
+@pytest.mark.parametrize("entry", [Scalar.zeta(3), True, 2], ids=["scalar", "bool", "int-2"])
+def test_every_symmetry_taker_refuses_what_is_no_root(taker, entry):
+    # one boundary: a Scalar, even a root of unity, is not a symmetry entry
+    with pytest.raises(ValueError, match=re.escape(f"symmetry entries must be roots of unity, got {entry!r}")):
+        _symmetry_takers()[taker]([entry])
+
+
+def test_minus_one_is_the_root_of_order_two():
+    mf = MatrixFactorization(x**2, [[x]], [[x]])
+    by_int, by_root = pullback([-1], mf), pullback([RootOfUnity(2, 1)], mf)
+    for row, twin in zip(by_int.d0 + by_int.d1, by_root.d0 + by_root.d1):
+        for e, f in zip(row, twin):
+            assert {m: (c.order, c.num, c.den) for m, c in e.terms.items()} == {
+                m: (c.order, c.num, c.den) for m, c in f.terms.items()}

@@ -6,10 +6,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from mflef.scalars import (  # noqa: E402
-    Scalar, _integer_form, _reduce, _scalar, cyclotomic_polynomial, euler_phi)
+    RootOfUnity, Scalar, _integer_form, _reduce, _scalar, cyclotomic_polynomial, euler_phi,
+    power_product)
 
 ORDERS = (1, 2, 3, 4, 5, 6, 7, 12)
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -76,3 +77,25 @@ def test_matches_complex_embedding(a, b):
     assert _close(complex(a * b), complex(a) * complex(b))
     assert _close(complex(a + b), complex(a) + complex(b))
     assert _close(complex(a - b), complex(a) - complex(b))
+
+
+@st.composite
+def twisted_monomials(draw):
+    # 1-4 roots of orders 1-12 with any exponent, zeta_n^0 for n > 1 included
+    n = draw(st.integers(1, 4))
+    roots = [RootOfUnity(draw(st.integers(1, 12)), draw(st.integers(-24, 24))) for _ in range(n)]
+    return roots, tuple(draw(st.integers(0, 5)) for _ in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(twisted_monomials())
+@example(([RootOfUnity(4, 0), RootOfUnity(3, 1)], (2, 1)))
+@example(([RootOfUnity(5, 2)], (0,)))
+def test_power_product_has_the_stored_form_of_the_scalar_product(drawn):
+    roots, mono = drawn
+    expected = Scalar.one()
+    for r, e in zip(roots, mono):
+        if e > 0:
+            expected = expected * r.to_scalar() ** e
+    got = power_product(roots, mono)
+    assert (got.order, got.num, got.den) == (expected.order, expected.num, expected.den)
