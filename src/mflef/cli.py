@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     try:
         with open(opts.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {opts.input}: {exc}", file=sys.stderr)
         return 2
 

@@ -96,10 +96,10 @@ class Vec:
     def lead(self):
         return min(self.terms, key=term_key)
 
-    def monic(self):
+    def monic(self, lead=None):
         if not self.terms:
             return self
-        inv = self.terms[self.lead()].inverse()
+        inv = self.terms[lead or self.lead()].inverse()
         return Vec(self.ring, self.rank, {k: c * inv for k, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -147,9 +147,9 @@ class GroebnerBasis:
             if g.terms[self.append(g)] != 1:
                 raise ValueError("Groebner basis generators must be monic")
 
-    def append(self, g):
-        """Add a generator and index it; returns its lead (component, monomial)."""
-        lead = g.lead()
+    def append(self, g, lead=None):
+        """Append and index a generator by its lead, given or found; returns the lead."""
+        lead = lead or g.lead()
         self.leads.setdefault(lead[0], []).append((lead[1], len(self.generators)))
         self.generators.append(g)
         return lead
@@ -303,10 +303,11 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
     queued: dict = {}  # component -> {push count: (lcm, lead_i, i, lead_j, j)}
     pushes = itertools.count()
 
-    def add(v):
+    def add(v, lead=None):
         """Append v, primitive or monic, and update the pairs by the criteria above."""
         new = len(gb)
-        comp, mono = gb.append(_primitive(v) if ints else v.monic())
+        lead = lead or v.lead()
+        comp, mono = gb.append(_primitive(v) if ints else v.monic(lead), lead)
         if comp >= block:
             return
         live = queued.setdefault(comp, {})
@@ -350,7 +351,7 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
         s = _s_vector(gi, monomial_div(lcm, mono_i), ci, gj, monomial_div(lcm, mono_j), cj)
         rem = _full_reduce(s, gb.generators, gb.leads)[0]
         if not rem.is_zero():
-            add(rem)
+            add(rem, next(iter(rem.terms)))  # a remainder is built in term order
 
     # inter-reduce to the unique reduced basis: prune generators whose lead
     # is divisible by another's (keeping the first of equal leads; for
@@ -366,7 +367,7 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
                 j != i and monomial_divides(other, mono) and (other != mono or j < i)
                 for other, j in entries
             )):
-                kept.append(gb.generators[i])
+                kept.append(gb.generators[i], (comp, mono))
     reduced = []
     for comp, entries in kept.leads.items():
         for mono, i in entries:

@@ -41,7 +41,12 @@ from .scalars import Scalar, _coerce_symmetry, power_product
 
 
 class HomComplex:
-    """Hom(A, B) as two free modules (even, odd) with the odd differential."""
+    """Hom(A, B) as two free modules (even, odd) with the odd differential.
+
+    D^2(phi) = d_B^2 phi - phi d_A^2 = w phi - phi w = 0, as d^2 = w on A and B
+    (MatrixFactorization's promise).  So D^2 is never multiplied out: one pass
+    checks that D is _d_column's matrix, each rule entry in its slot and no other.
+    """
 
     __slots__ = ("source", "target", "ring", "pairs", "pair_index", "d_matrices")
 
@@ -53,20 +58,18 @@ class HomComplex:
         self.source, self.target = source, target
         self.ring = source.ring
         ps, pt = source.parities(), target.parities()
-        pairs = ([], [])
-        for a in range(target.total_rank):
-            for b in range(source.total_rank):
-                pairs[(pt[a] + ps[b]) % 2].append((a, b))
-        self.pairs = (tuple(pairs[0]), tuple(pairs[1]))
-        self.pair_index = (
-            {p: i for i, p in enumerate(pairs[0])},
-            {p: i for i, p in enumerate(pairs[1])},
-        )
+        self.pairs = tuple(tuple((a, b) for a in range(target.total_rank)
+                                 for b in range(source.total_rank) if (pt[a] + ps[b]) % 2 == p)
+                           for p in (0, 1))
+        self.pair_index = tuple({p: i for i, p in enumerate(block)} for block in self.pairs)
         self.d_matrices = (self._build_d(0), self._build_d(1))
-        for parity in (0, 1):
-            square = linalg.mat_mul(self.d_matrices[1 - parity], self.d_matrices[parity],
-                                    self.ring.zero(), cols=len(self.pairs[parity]))
-            if any(not e.is_zero() for row in square for e in row):
+        da, db = source.full_matrix(), target.full_matrix()
+        for parity, mat in enumerate(self.d_matrices):
+            rule = [(self.pair_index[1 - parity][key], col, entry)
+                    for col, (a, b) in enumerate(self.pairs[parity])
+                    for key, entry in _d_column(da, db, a, b, parity)]
+            if (any(not (mat[i][j] == entry) for i, j, entry in rule)
+                    or len(rule) != sum(not e.is_zero() for row in mat for e in row)):
                 raise AssertionError("Hom-complex differential does not square to zero")
 
     def _build_d(self, parity):
@@ -116,12 +119,9 @@ class CohomologyBasis:
         self.hom = hom
         ring = hom.ring
         unit = (0,) * ring.nvars
-        std = []
-        kernels = []
-        gbs = []
+        std, kernels, gbs = [], [], []
         for parity in (0, 1):
-            d_out = hom.d_matrices[parity]
-            d_in = hom.d_matrices[1 - parity]
+            d_out, d_in = hom.d_matrices[parity], hom.d_matrices[1 - parity]
             npairs = len(hom.pairs[parity])
             kernel_cols = syzygy_basis(d_out) if d_out else [
                 [ring.one() if i == j else ring.zero() for i in range(npairs)]

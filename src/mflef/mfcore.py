@@ -62,6 +62,9 @@ def _place(out, block, top, left):
 class MatrixFactorization:
     """Z/2-graded free module with an odd operator squaring to w.
 
+    d1 d0 = d0 d1 = w is checked unless check=False, the caller's promise of it:
+    pullback makes it (a substitution fixing w keeps d^2 = w), and so does
+    __reduce__, copying a factorization that kept it.  HomComplex rests D^2 = 0 on it.
     `_full` caches full_matrix().  `_hom_memo` maps id(b) to the entry
     (b, basis or None, graded strands or None) that the pair (self, b) reuses
     across requests.  The entry holds b, so id(b) cannot be reused while it
@@ -233,22 +236,28 @@ class MFMorphism:
         return MFMorphism(self.source, self.target, self.parity,
                           _poly_mat_scale(self.matrix, as_scalar(c)), check_parity=False)
 
-    def differential(self) -> "MFMorphism":
-        """D(phi) = sum of phi_ij D e_ij, D being R-linear, with D e_ij from _d_column."""
+    def _d_sums(self) -> dict:
+        """D(self) = sum of phi_ij D e_ij, D e_ij from _d_column, as {(k, l): entry}."""
         da, db = self.source.full_matrix(), self.target.full_matrix()
-        mat = linalg.zeros(self.target.total_rank, self.source.total_rank, self.source.ring.zero())
+        sums = {}
         for i, row in enumerate(self.matrix):
             for j, phi in enumerate(row):
                 if not phi.is_zero():
-                    for (k, l), e in _d_column(da, db, i, j, self.parity):
-                        mat[k][l] = mat[k][l] + phi * e
+                    for key, e in _d_column(da, db, i, j, self.parity):
+                        sums[key] = sums[key] + phi * e if key in sums else phi * e
+        return sums
+
+    def differential(self) -> "MFMorphism":
+        """D(self), of the opposite parity (see _d_sums)."""
+        mat = linalg.zeros(self.target.total_rank, self.source.total_rank, self.source.ring.zero())
+        for (k, l), e in self._d_sums().items():
+            mat[k][l] = e
         return MFMorphism(self.source, self.target, self.parity + 1, mat, check_parity=False)
 
     def is_closed(self) -> bool:
         """Whether D(self) = 0; computed at most once per morphism."""
         if self._closed is None:
-            _set(self, "_closed", all(
-                e.is_zero() for row in self.differential().matrix for e in row))
+            _set(self, "_closed", all(e.is_zero() for e in self._d_sums().values()))
         return self._closed
 
     def _twisted_by(self, t, into) -> bool:

@@ -542,6 +542,21 @@ def test_unwritable_json_path_is_input_error(tmp_path):
     assert not out.exists()
 
 
+def test_undecodable_input_is_input_error(tmp_path):
+    # a document that is not UTF-8 is unreadable input: one error line and
+    # exit 2, never a UnicodeDecodeError traceback with exit 1
+    doc = tmp_path / "latin.mflef"
+    doc.write_bytes(b"\xff\xfe[potential]\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflef.cli", "milnor", "w", "-i", str(doc)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: cannot read {doc}: ")
+    assert "Traceback" not in proc.stderr
+
+
 # One step past each parser limit in mflef.document.LIMITS: nesting depth,
 # zeta and cyclotomic order, exponent, total degree, power bit size, term
 # count, variable count, and the matrix and module ranks.
