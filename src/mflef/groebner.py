@@ -80,10 +80,13 @@ class Vec:
         return Vec.from_column([poly], 1)
 
     def to_column(self):
-        cols = [dict() for _ in range(self.rank)]
+        """The element as a list of Polynomials, its empty components one shared zero."""
+        cols = {}
         for (comp, m), c in self.terms.items():
-            cols[comp][m] = c
-        return [Polynomial(self.ring, d) for d in cols]
+            cols.setdefault(comp, {})[m] = c
+        zero = Polynomial(self.ring, {})
+        return [Polynomial(self.ring, cols[comp]) if comp in cols else zero
+                for comp in range(self.rank)]
 
     def to_poly(self):
         if self.rank != 1:
@@ -138,13 +141,13 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "rank", "generators", "leads")
 
-    def __init__(self, ring, rank, generators):
+    def __init__(self, ring, rank, generators, leads=None):
         self.ring = ring
         self.rank = rank
         self.generators = []
         self.leads = {}
-        for g in generators:
-            if g.terms[self.append(g)] != 1:
+        for k, g in enumerate(generators):
+            if g.terms[self.append(g, leads and leads[k])] != 1:
                 raise ValueError("Groebner basis generators must be monic")
 
     def append(self, g, lead=None):
@@ -177,11 +180,14 @@ def _primitive(vec):
     return Vec(vec.ring, vec.rank, {t: c // g for t, c in vec.terms.items()})
 
 
+_MINUS_ONE = -Scalar.one()
+
+
 def _over(terms, den):
-    """The order-1 Scalar term dict of int terms divided by a nonzero int den."""
-    if den < 0:
-        return {t: _scalar(1, (-c,), -den) for t, c in terms.items()}
-    return {t: _scalar(1, (c,), den) for t, c in terms.items()}
+    """The order-1 Scalar term dict of int terms divided by a nonzero int den;
+    the values 1 and -1 are one shared Scalar each."""
+    signs, s = {den: Scalar.one(), -den: _MINUS_ONE}, (1 if den > 0 else -1)
+    return {t: signs.get(c) or _scalar(1, (s * c,), s * den) for t, c in terms.items()}
 
 
 def _full_reduce(vec: Vec, gens, leads):
@@ -368,19 +374,21 @@ def buchberger(generators, rank=None, *, _syzygies_from=None) -> GroebnerBasis:
                 for other, j in entries
             )):
                 kept.append(gb.generators[i], (comp, mono))
+    # A result keeps one tuple per distinct monomial, and its lead term first.
     reduced = []
+    monos = {}
     for comp, entries in kept.leads.items():
         for mono, i in entries:
             lead = (comp, mono)
             g = kept.generators[i]
             tail = {t: c for t, c in g.terms.items() if t != lead}
             rem, scale = _full_reduce(Vec(ring, rank, tail), kept.generators, kept.leads)
-            if ints:
-                rem.terms = _over(rem.terms, g.terms[lead] * scale)
-            rem.terms[lead] = Scalar.one()
-            reduced.append((term_key(lead), rem))
+            terms = {(comp, monos.setdefault(mono, mono)): Scalar.one()}
+            for (c, m), v in (_over(rem.terms, g.terms[lead] * scale) if ints else rem.terms).items():
+                terms[(c, monos.setdefault(m, m))] = v
+            reduced.append((term_key(lead), lead, Vec(ring, rank, terms)))
     reduced.sort(key=lambda entry: entry[0])
-    return GroebnerBasis(ring, rank, [g for _, g in reduced])
+    return GroebnerBasis(ring, rank, [g for _, _, g in reduced], [lead for _, lead, _ in reduced])
 
 
 def normal_form(element, gb: GroebnerBasis):

@@ -13,6 +13,10 @@ phi -> beta o t^*(phi) o alpha:
   on a pair's first request and kept on the source factorization
   (pair_strands), so a later twist of the pair builds only its twist matrices.
 
+The Groebner engine's CohomologyBasis is kept the same way, from the pair's
+first request (lefschetz.pair_cohomology); MatrixFactorization states the
+rules of the memo and what a kept entry holds.
+
 They are independent; the corpus runner cross-checks them.  Both read D off
 one rule, the image of each unit cochain e_ij (mfcore._d_column).  The
 graded engine states its twist the same way: x^m e_ij maps to t^m x^m times
@@ -83,7 +87,8 @@ class HomComplex:
         return mat
 
     def unflatten(self, parity, column) -> MFMorphism:
-        mat = linalg.zeros(self.target.total_rank, self.source.total_rank, self.ring.zero())
+        """The morphism with column's entries at the parity block's pairs, 0 elsewhere."""
+        mat = linalg.zeros(self.target.total_rank, self.source.total_rank, self.source.ring.zero())
         for (a, b), entry in zip(self.pairs[parity], column):
             mat[a][b] = entry
         return MFMorphism(self.source, self.target, parity, mat, check_parity=False)
@@ -111,54 +116,58 @@ class CohomologyBasis:
     M is a submodule, so m (phi, 0) and m r have the same remainder for any
     monomial m (`multiple`): that is what makes induced_endomorphism's
     semilinear shortcut exact.  Only the relations act on m r.
+    Once built, a basis needs of hom only its two factorizations and its
+    cochain pairs; it keeps those, and no D matrix (see MatrixFactorization).
+    It keeps the kernel columns that its standard monomials use, for
+    `representative`, and G without its relations led by a unit e_j.
     """
 
-    __slots__ = ("hom", "std", "_kernel_cols", "_gb", "_reps", "_lookup")
+    __slots__ = ("source", "target", "pairs", "std", "_kernels", "_gb", "_reps", "_lookup")
 
     def __init__(self, hom: HomComplex):
-        self.hom = hom
+        self.source, self.target, self.pairs = hom.source, hom.target, hom.pairs
         ring = hom.ring
         unit = (0,) * ring.nvars
         std, kernels, gbs = [], [], []
         for parity in (0, 1):
             d_out, d_in = hom.d_matrices[parity], hom.d_matrices[1 - parity]
             npairs = len(hom.pairs[parity])
-            kernel_cols = syzygy_basis(d_out) if d_out else [
-                [ring.one() if i == j else ring.zero() for i in range(npairs)]
-                for j in range(npairs)
-            ]
-            s = len(kernel_cols)
-            kernels.append(kernel_cols)
+            kernel = [Vec.from_column(col) for col in syzygy_basis(d_out)] if d_out else [
+                Vec(ring, npairs, {(j, unit): Scalar.one()}) for j in range(npairs)]
+            s = len(kernel)
             if s == 0:
                 std.append(())
                 gbs.append(None)
+                kernels.append({})
                 continue
-            columns = []
-            for j, col in enumerate(kernel_cols):
-                vec = Vec.from_column(col, npairs + s)
-                vec.terms[(npairs + j, unit)] = Scalar.one()
-                columns.append(vec)
+            columns = [Vec(ring, npairs + s, {**k.terms, (npairs + j, unit): Scalar.one()})
+                       for j, k in enumerate(kernel)]
             if d_in and d_in[0]:
                 columns += [
                     Vec.from_column([row[j] for row in d_in], npairs + s)
                     for j in range(len(d_in[0]))
                 ]
             gb = buchberger(columns)
-            relations = [
-                Vec(ring, s, {(comp - npairs, m): c for (comp, m), c in g.terms.items()})
-                for g in gb.generators
-                if g.lead()[0] >= npairs
-            ]
-            monos = standard_monomials(GroebnerBasis(ring, s, relations))
+            led = [((comp, mono), gb.generators[i])  # (lead, generator), in generator order
+                   for comp, entries in gb.leads.items() for mono, i in entries]
+            relations = [((comp - npairs, mono), Vec(ring, s, {
+                (c - npairs, m): v for (c, m), v in g.terms.items()}))
+                for (comp, mono), g in led if comp >= npairs]
+            monos = standard_monomials(GroebnerBasis(
+                ring, s, [g for _, g in relations], [lead for lead, _ in relations]))
             if monos is None:
                 raise NonIsolatedError(
                     "Hom-complex cohomology is infinite-dimensional; "
                     "the potential is not an isolated singularity"
                 )
             std.append(tuple(monos))
-            gbs.append(gb)
+            # G is reduced, so a relation led by a unit e_j is the one element
+            # with a term on e_j, and no reduction of a cocycle meets it
+            kept = [(lead, g) for lead, g in led if lead[0] < npairs or any(lead[1])]
+            gbs.append(GroebnerBasis(ring, gb.rank, [g for _, g in kept], [lead for lead, _ in kept]))
+            kernels.append({comp: kernel[comp] for comp, _ in monos})  # the columns std uses
         self.std = tuple(std)
-        self._kernel_cols = tuple(kernels)
+        self._kernels = tuple(kernels)
         self._gb = tuple(gbs)
         self._reps = tuple([None] * len(keys) for keys in self.std)
         self._lookup = tuple({key: k for k, key in enumerate(keys)} for keys in self.std)
@@ -178,12 +187,13 @@ class CohomologyBasis:
         rep = self._reps[parity][index]
         if rep is None:
             comp, mono = self.std[parity][index]
-            column = [
-                self.hom.ring.monomial(mono) * entry
-                for entry in self._kernel_cols[parity][comp]
-            ]
-            rep = self._reps[parity][index] = self.hom.unflatten(parity, column)
+            k = self._kernels[parity][comp]
+            if any(mono):
+                k = Vec(k.ring, k.rank, {(c, monomial_mul(m, mono)): v for (c, m), v in k.terms.items()})
+            rep = self._reps[parity][index] = self.unflatten(parity, k.to_column())
         return rep
+
+    unflatten = HomComplex.unflatten  # it reads source, target and pairs alone
 
     def reduce(self, phi: MFMorphism):
         """Coordinates of a closed morphism's class in the chosen basis."""
@@ -191,7 +201,7 @@ class CohomologyBasis:
 
     def remainder(self, phi: MFMorphism):
         """Normal form of (phi, 0) modulo M, or None if phi's parity has no cocycles."""
-        column = [phi.matrix[a][b] for (a, b) in self.hom.pairs[phi.parity]]
+        column = [phi.matrix[a][b] for (a, b) in self.pairs[phi.parity]]
         gb = self._gb[phi.parity]
         if gb is None:
             if any(not e.is_zero() for e in column):
@@ -210,7 +220,7 @@ class CohomologyBasis:
         coords = [Scalar.zero()] * len(self.std[parity])
         if rem is None:
             return coords
-        npairs = len(self.hom.pairs[parity])
+        npairs = len(self.pairs[parity])
         lookup = self._lookup[parity]
         for (comp, m), c in rem.terms.items():
             if comp < npairs:
@@ -280,13 +290,13 @@ def induced_endomorphism(t, alpha: MFMorphism, beta: MFMorphism, basis: Cohomolo
     Y_c is composed and reduced once, to the remainder r_c of (Y_c, 0); the
     element's coordinates are those of t^m m r_c (see CohomologyBasis).
     """
-    t = _check_twisting(t, basis.hom.source, alpha, basis.hom.target, beta)
+    t = _check_twisting(t, basis.source, alpha, basis.target, beta)
     n = basis.total_dim()
     dims = basis.dims
     out = linalg.zeros(n, n)
     shift = (alpha.parity + beta.parity) % 2
     offsets = (0, dims[0])
-    unit = (0,) * basis.hom.ring.nvars
+    unit = (0,) * basis.source.ring.nvars
     for parity in (0, 1):
         target = (parity + shift) % 2
         images = {}  # component c -> remainder r_c of its generator's image

@@ -149,14 +149,14 @@ def pair_cohomology(a: MatrixFactorization, b: MatrixFactorization) -> Cohomolog
     """cohomology(hom_complex(a, b)), reused across requests for the same objects.
 
     The basis depends on the pair alone, so a verifier that twists it by many
-    (t, alpha, beta) needs it once.  It is kept in a._hom_memo, from the
-    pair's second request on, by the rules stated on MatrixFactorization.
+    (t, alpha, beta) needs it once.  It is kept in a._hom_memo from the pair's
+    first request on, by the rules stated on MatrixFactorization.
     """
     entry = a._hom_memo.get(id(b))
     if entry is not None and entry[1] is not None:
         return entry[1]
     basis = cohomology(hom_complex(a, b))
-    a._hom_memo[id(b)] = (b, None, None) if entry is None else (b, basis, entry[2])
+    a._hom_memo[id(b)] = (b, basis, None if entry is None else entry[2])
     return basis
 
 

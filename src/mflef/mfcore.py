@@ -68,16 +68,17 @@ class MatrixFactorization:
     `_full` caches full_matrix().  `_hom_memo` maps id(b) to the entry
     (b, basis or None, graded strands or None) that the pair (self, b) reuses
     across requests.  The entry holds b, so id(b) cannot be reused while it
-    lives, and an equal but distinct b gets its own entry.
-    lefschetz.pair_cohomology admits a Groebner basis on the pair's second
-    request by either engine, so a pair used once keeps no basis alive;
-    homcoh.pair_strands admits the graded engine's reduced strands on the
-    first, as a document twists most graded pairs more than once and strands
-    are small.  A basis refers back to self (basis -> HomComplex -> self), and
-    so does any entry of a pair (self, self): such an entry is freed by the
-    cyclic garbage collector, not when the last outside reference goes.
-    Strands hold scalars and monomials only.  Under threads the worst case is
-    a duplicate computation.  The memo is neither pickled nor copied.
+    lives, and an equal but distinct b gets its own entry.  Both engines
+    admit on a pair's first request: lefschetz.pair_cohomology the Groebner
+    engine's CohomologyBasis, homcoh.pair_strands the graded engine's reduced
+    strands.  A kept basis holds no D matrix and no HomComplex, only the two
+    factorizations, the cochain pairs, the cocycle module's basis and the
+    kernel columns its standard monomials use.  It still refers back to self
+    (basis -> self), and so does any entry of a pair (self, self): such an
+    entry is freed by the cyclic garbage collector, not when the last outside
+    reference goes.  Strands hold scalars and monomials only.  Under threads
+    the worst case is a duplicate computation.  The memo is neither pickled
+    nor copied.
     """
 
     __slots__ = ("ring", "potential", "r0", "r1", "d0", "d1", "gradings", "_full", "_hom_memo")

@@ -486,15 +486,22 @@ def one_minus_zeta_valuation(a: Scalar, p: int):
 
 
 class RootOfUnity:
-    """zeta_m^a with the exponent stored reduced mod m."""
+    """zeta_m^a with the exponent stored reduced mod m.
 
-    __slots__ = ("order", "exponent")
+    `_reduced` is (m/g, a/g) with g = gcd(a, m), the same for every way of
+    writing one root: equality and the hash read it, computed once here.
+    """
+
+    __slots__ = ("order", "exponent", "_reduced")
 
     def __init__(self, order: int, exponent: int):
         if order < 1:
             raise ValueError("order must be positive")
+        exponent %= order
+        g = math.gcd(exponent, order)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "exponent", exponent % order)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "_reduced", (order // g, exponent // g))
 
     def __setattr__(self, *args):
         raise AttributeError("RootOfUnity is immutable")
@@ -521,12 +528,10 @@ class RootOfUnity:
     def __eq__(self, other):
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        L = math.lcm(self.order, other.order)
-        return self.exponent * (L // self.order) % L == other.exponent * (L // other.order) % L
+        return self._reduced == other._reduced
 
     def __hash__(self):
-        g = math.gcd(self.exponent, self.order)
-        return hash((self.order // g, (self.exponent // g) % (self.order // g) if g else 0))
+        return hash(self._reduced)
 
     def __str__(self):
         return power_text(f"zeta({self.order})", self.exponent) if self.exponent else "1"

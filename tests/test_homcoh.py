@@ -488,7 +488,7 @@ def _koszul_family(exponents, graded=False):
 
 
 def _assert_jacobian_annihilates(basis):
-    w = basis.hom.source.potential
+    w = basis.source.potential
     partials = [partial_derivative(w, i) for i in range(w.ring.nvars)]
     checked = 0
     for parity in (0, 1):

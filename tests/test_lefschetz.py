@@ -1,12 +1,16 @@
+import gc
 import math
 import random
 import re
+import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
 
 import mflef.lefschetz
-from mflef.homcoh import cohomology, graded_euler_supertrace, hom_complex
+from mflef.homcoh import (CohomologyBasis, HomComplex, cohomology, graded_euler_supertrace,
+                          hom_complex)
 from mflef.milnor import canonical_pairing, trace_space
 from mflef.scalars import RootOfUnity, Scalar, _coerce_symmetry
 from mflef.polyring import PolyRing, check_symmetry, scale_substitute
@@ -589,25 +593,27 @@ def _xy_pair():
     return a, b
 
 
-def test_pair_requested_once_keeps_no_basis(monkeypatch):
+def test_pair_requested_once_keeps_its_basis(monkeypatch):
     calls = _count_cohomology(monkeypatch)
     mf, t, alpha, beta = a2_data()
     lhs_hlf(mf, mf, t, alpha, beta)
     assert calls == [(mf, mf)]
-    assert mf._hom_memo == {id(mf): (mf, None, None)}
+    (entry,) = mf._hom_memo.values()
+    assert entry[0] is mf and isinstance(entry[1], CohomologyBasis) and entry[2] is None
+    assert pair_cohomology(mf, mf) is entry[1] and calls == [(mf, mf)]
 
 
 def test_third_request_makes_no_cohomology_call(monkeypatch):
     calls = _count_cohomology(monkeypatch)
     mf, t, alpha, beta = a2_data()
     values = [lhs_hlf(mf, mf, t, alpha, beta) for _ in range(3)]
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert values[0] == values[1] == values[2]
     a, b = _xy_pair()
     first, second = pair_cohomology(a, b), pair_cohomology(a, b)
-    assert len(calls) == 4 and first is not second
-    assert pair_cohomology(a, b) is second and len(calls) == 4
-    assert a._hom_memo[id(b)] == (b, second, None)
+    assert len(calls) == 2 and first is second
+    assert pair_cohomology(a, b) is first and len(calls) == 2
+    assert a._hom_memo[id(b)] == (b, first, None)
     assert b._hom_memo == {}
 
 
@@ -618,11 +624,12 @@ def test_equal_but_distinct_target_gets_its_own_entry(monkeypatch):
     assert twin is not b and twin.d0 == b.d0 and twin.d1 == b.d1
     for _ in range(3):
         pair_cohomology(a, b)
-    assert len(calls) == 2
-    pair_cohomology(a, twin)
-    assert calls[-1] == (a, twin) and len(calls) == 3
-    assert a._hom_memo[id(twin)] == (twin, None, None)
-    assert a._hom_memo[id(b)][0] is b
+    assert len(calls) == 1
+    kept = pair_cohomology(a, twin)
+    assert calls[-1] == (a, twin) and len(calls) == 2
+    assert pair_cohomology(a, twin) is kept and len(calls) == 2
+    assert a._hom_memo[id(twin)] == (twin, kept, None)
+    assert a._hom_memo[id(b)][0] is b and a._hom_memo[id(b)][1] is not kept
 
 
 def _isolated_sweep(d_max):
@@ -655,6 +662,76 @@ def test_reuse_changes_no_verdict_or_printed_value(monkeypatch):
     assert len(calls) == len(fresh)
     assert reused == fresh
     assert all(equal for _, equal in fresh)
+
+
+def test_isolated_sweep_builds_each_pair_once(monkeypatch):
+    calls = _count_cohomology(monkeypatch)
+    reports = _isolated_sweep(5)
+    pairs = {(id(a), id(b)) for a, b in calls}
+    # d = 2..5 gives (d - 1)^2 pairs, each twisted by d - 1 symmetries
+    assert len(reports) == 100 and len(pairs) == 30
+    assert len(calls) == len(pairs)
+
+
+def test_kept_basis_reaches_no_hom_complex_differential(monkeypatch):
+    homs = []
+
+    def recorded(a, b):
+        homs.append(hom_complex(a, b))
+        return homs[-1]
+
+    monkeypatch.setattr(mflef.lefschetz, "hom_complex", recorded)
+    a, b = _xy_pair()
+    basis = pair_cohomology(a, b)
+    basis.representative(0, 0)
+    (hom,) = homs
+    d_lists = {id(m) for m in hom.d_matrices} | {id(row) for m in hom.d_matrices for row in m}
+    # everything the kept entry refers to, short of types and modules
+    seen, stack = set(), [a._hom_memo]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, HomComplex) and id(obj) not in d_lists
+        stack.extend(gc.get_referents(obj))
+    assert id(basis) in seen and id(b) in seen
+
+
+def _held_bytes(build):
+    """Bytes still allocated when build() has returned, with its result alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        return held
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_basis_is_smaller_than_a_fresh_one_with_its_hom_complex():
+    # a pair of x^2 + y^2 + z^3, as in the benchmark's three-variable cases;
+    # full matrices are built first, since both ways share them
+    R3 = PolyRing(("x", "y", "z"))
+    x3, y3, z3 = (R3.var(v) for v in "xyz")
+
+    def pair():
+        a, b = koszul_mf([x3, y3, z3], [x3, y3, z3**2]), koszul_mf([x3, y3, z3**2], [x3, y3, z3])
+        a.full_matrix(), b.full_matrix()
+        return a, b
+
+    def fresh(a, b):
+        hom = hom_complex(a, b)
+        return hom, cohomology(hom)
+
+    fresh(*pair())  # warm every cache that outlives the pair
+    (a, b), (c, d) = pair(), pair()
+    memo = _held_bytes(lambda: (pair_cohomology(a, b), a._hom_memo))
+    with_hom = _held_bytes(lambda: fresh(c, d))
+    assert memo <= 2 * with_hom / 3, (memo, with_hom)
 
 
 # -- refusals of the verifiers -------------------------------------------------
